@@ -39,12 +39,10 @@ let ad_candidates (frame : F.t) =
     "group:" ^ F.label_to_string frame.F.label;
   ]
 
-(* Keys can be used at any protocol role; try all kinds. *)
-let key_candidates t =
-  StringSet.fold
-    (fun raw acc ->
-      Key.of_raw Key.Long_term raw :: Key.of_raw Key.Session raw
-      :: Key.of_raw Key.Group raw :: acc)
+(* A key can serve any protocol role, but [Aead] never reads its kind:
+   one key per raw string opens everything any kind would. *)
+let keys t =
+  StringSet.fold (fun raw acc -> Key.of_raw Key.Session raw :: acc)
     t.key_material []
 
 (* Extract key material carried inside a recovered plaintext. *)
@@ -68,7 +66,7 @@ let harvest_keys t plaintext =
   | Ok { P.x = Wire.Admin.New_group_key { key; _ }; _ } -> add key
   | Ok _ | Error _ -> ()
 
-let try_open t (frame : F.t) =
+let try_open t keys (frame : F.t) =
   match Aead.decode frame.F.body with
   | Error _ -> ()
   | Ok sealed ->
@@ -84,15 +82,17 @@ let try_open t (frame : F.t) =
                   end
               | Error `Auth_failure -> ())
             (ad_candidates frame))
-        (key_candidates t)
+        keys
 
 let saturate t =
   (* Iterate until no new keys or plaintexts appear: recovered
-     plaintexts can carry keys that unlock earlier ciphertexts. *)
+     plaintexts can carry keys that unlock earlier ciphertexts. Keys
+     harvested during a pass are tried from the next one. *)
   let rec loop () =
     let keys_before = StringSet.cardinal t.key_material in
     let plain_before = StringSet.cardinal t.plaintexts in
-    List.iter (try_open t) t.frames;
+    let keys = keys t in
+    List.iter (try_open t keys) t.frames;
     if
       StringSet.cardinal t.key_material <> keys_before
       || StringSet.cardinal t.plaintexts <> plain_before
@@ -101,10 +101,6 @@ let saturate t =
   loop ()
 
 let knows_key t key = StringSet.mem (Key.raw key) t.key_material
-
-let keys t =
-  StringSet.fold (fun raw acc -> Key.of_raw Key.Session raw :: acc)
-    t.key_material []
 
 let plaintexts t = StringSet.elements t.plaintexts
 

@@ -1,17 +1,3 @@
-let xor a b =
-  let n = String.length a in
-  if String.length b <> n then invalid_arg "Bytes_ops.xor: length mismatch";
-  String.init n (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i]))
-
-let xor_into ~src ~dst ~pos =
-  let n = String.length src in
-  if pos < 0 || pos + n > Bytes.length dst then
-    invalid_arg "Bytes_ops.xor_into: out of bounds";
-  for i = 0 to n - 1 do
-    Bytes.set dst (pos + i)
-      (Char.chr (Char.code src.[i] lxor Char.code (Bytes.get dst (pos + i))))
-  done
-
 let ct_equal a b =
   let la = String.length a and lb = String.length b in
   (* No early exit on length mismatch: always scan max(la, lb) bytes,

@@ -2,29 +2,30 @@ open Byteskit
 
 type sealed = { iv : string; ciphertext : string; tag : string }
 
-let enc_key key = Kdf.derive ~key:(Key.raw key) ~label:"aead-encrypt"
-let mac_key key = Kdf.derive ~key:(Key.raw key) ~label:"aead-mac"
-
+(* The MAC covers [iv || ad || ciphertext], each with a u32 big-endian
+   length prefix (the {!Cursor.Writer.bytes} framing), built in one
+   buffer of exact size. *)
 let mac_input ~iv ~ad ~ciphertext =
-  let w = Cursor.Writer.create () in
-  Cursor.Writer.bytes w iv;
-  Cursor.Writer.bytes w ad;
-  Cursor.Writer.bytes w ciphertext;
-  Cursor.Writer.contents w
+  let b = Bytes.create (12 + String.length iv + String.length ad + String.length ciphertext) in
+  let put pos s =
+    let n = String.length s in
+    Bytes_ops.set_u32_be b pos n;
+    Bytes.blit_string s 0 b (pos + 4) n;
+    pos + 4 + n
+  in
+  ignore (put (put (put 0 iv) ad) ciphertext);
+  Bytes.unsafe_to_string b
 
 let seal ~key ~iv ~ad plaintext =
-  let cipher = Feistel.of_key (enc_key key) in
-  let ciphertext = Ctr.transform cipher ~iv plaintext in
-  let tag = Mac.tag ~key:(mac_key key) (mac_input ~iv ~ad ~ciphertext) in
+  let ciphertext = Ctr.transform (Key.cipher key) ~iv plaintext in
+  let tag = Mac.tag (Key.mac key) (mac_input ~iv ~ad ~ciphertext) in
   { iv; ciphertext; tag }
 
 let open_ ~key ~ad { iv; ciphertext; tag } =
   if
     String.length iv = Ctr.iv_size
-    && Mac.verify ~key:(mac_key key) (mac_input ~iv ~ad ~ciphertext) ~tag
-  then
-    let cipher = Feistel.of_key (enc_key key) in
-    Ok (Ctr.transform cipher ~iv ciphertext)
+    && Mac.verify (Key.mac key) (mac_input ~iv ~ad ~ciphertext) ~tag
+  then Ok (Ctr.transform (Key.cipher key) ~iv ciphertext)
   else Error `Auth_failure
 
 let random_iv rng =

@@ -1,20 +1,28 @@
 let iv_size = 8
 
-let keystream cipher ~iv n =
+(* Block j of the keystream is E(iv || le64 j); each block is
+   generated into one scratch buffer and XORed straight into [out]. *)
+let transform cipher ~iv data =
   if String.length iv <> iv_size then
     invalid_arg "Ctr: iv must be 8 bytes";
-  if n < 0 then invalid_arg "Ctr.keystream: negative length";
-  let out = Buffer.create (n + Feistel.block_size) in
-  let counter = ref 0L in
-  while Buffer.length out < n do
-    let blk = Bytes.create Feistel.block_size in
-    Bytes.blit_string iv 0 blk 0 8;
-    Byteskit.Bytes_ops.set_u64_le blk 8 !counter;
-    Buffer.add_string out (Feistel.encrypt_block cipher (Bytes.unsafe_to_string blk));
-    counter := Int64.add !counter 1L
+  let n = String.length data in
+  let out = Bytes.create n in
+  let blk = Bytes.create Feistel.block_size in
+  let iv_word = String.get_int64_le iv 0 in
+  for j = 0 to ((n + Feistel.block_size - 1) / Feistel.block_size) - 1 do
+    Bytes.set_int64_le blk 0 iv_word;
+    Bytes.set_int64_le blk 8 (Int64.of_int j);
+    Feistel.encrypt_in_place cipher blk;
+    let base = j * Feistel.block_size in
+    for k = 0 to Int.min Feistel.block_size (n - base) - 1 do
+      Bytes.unsafe_set out (base + k)
+        (Char.unsafe_chr
+           (Char.code (String.unsafe_get data (base + k))
+           lxor Char.code (Bytes.unsafe_get blk k)))
+    done
   done;
-  String.sub (Buffer.contents out) 0 n
+  Bytes.unsafe_to_string out
 
-let transform cipher ~iv data =
-  let ks = keystream cipher ~iv (String.length data) in
-  Byteskit.Bytes_ops.xor data ks
+let keystream cipher ~iv n =
+  if n < 0 then invalid_arg "Ctr.keystream: negative length";
+  transform cipher ~iv (String.make n '\000')

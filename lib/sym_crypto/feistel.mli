@@ -11,7 +11,8 @@
     Used by {!Ctr} to build the keystream generator. *)
 
 type t
-(** An expanded cipher key (the per-round subkeys). *)
+(** An expanded cipher key: the per-round subkeys, as plain immutable
+    data (structural equality and [Marshal] work on it). *)
 
 val block_size : int
 (** Block size in bytes (16). *)
@@ -26,3 +27,8 @@ val encrypt_block : t -> string -> string
 
 val decrypt_block : t -> string -> string
 (** Inverse of {!encrypt_block}. *)
+
+val encrypt_in_place : t -> bytes -> unit
+(** [encrypt_in_place t b] replaces the first 16 bytes of [b] with
+    their encryption, without allocating: the block step of {!Ctr}.
+    @raise Invalid_argument if [Bytes.length b < 16]. *)

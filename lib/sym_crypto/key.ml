@@ -1,5 +1,9 @@
 type kind = Long_term | Session | Group
-type t = { kind : kind; material : string }
+
+(* [cipher] and [mac] are the AEAD schedule: a pure function of
+   [material], so [=], [compare] and [Marshal] behave as on the
+   material alone. *)
+type t = { kind : kind; material : string; cipher : Feistel.t; mac : Mac.t }
 
 let size = 16
 
@@ -13,9 +17,16 @@ let kind t = t.kind
 let of_raw kind material =
   if String.length material <> size then
     invalid_arg "Key.of_raw: key must be 16 bytes";
-  { kind; material }
+  {
+    kind;
+    material;
+    cipher = Feistel.of_key (Kdf.derive ~key:material ~label:"aead-encrypt");
+    mac = Mac.of_key (Kdf.derive ~key:material ~label:"aead-mac");
+  }
 
 let raw t = t.material
+let cipher t = t.cipher
+let mac t = t.mac
 let long_term ~user ~password = of_raw Long_term (Kdf.of_password ~user ~password)
 
 let fresh kind rng =

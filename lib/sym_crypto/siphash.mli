@@ -25,6 +25,11 @@ val key_to_string : key -> string
 val hash : key -> string -> int64
 (** [hash key msg] is the SipHash-2-4 output. *)
 
+val hash_with : string -> int -> string -> int64
+(** [hash_with keys i msg] is {!hash} of [msg] under the [i]-th key of
+    [keys], a table of 16-byte keys packed end to end (the layout of
+    {!key_to_string}). *)
+
 val hash_to_bytes : key -> string -> string
 (** [hash_to_bytes key msg] is {!hash} rendered as 8 little-endian
     bytes (the format used by the reference test vectors). *)

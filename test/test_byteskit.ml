@@ -22,15 +22,6 @@ let test_hex_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-hex accepted"
 
-let test_xor () =
-  Alcotest.(check string) "xor" "\x01\x01" (Bytes_ops.xor "\x00\x01" "\x01\x00");
-  Alcotest.(check string)
-    "self-inverse" "ab"
-    (Bytes_ops.xor (Bytes_ops.xor "ab" "xy") "xy");
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Bytes_ops.xor: length mismatch") (fun () ->
-      ignore (Bytes_ops.xor "a" "ab"))
-
 let test_ct_equal () =
   Alcotest.(check bool) "equal" true (Bytes_ops.ct_equal "abc" "abc");
   Alcotest.(check bool) "unequal" false (Bytes_ops.ct_equal "abc" "abd");
@@ -108,9 +99,6 @@ let qcheck_tests =
   [
     QCheck.Test.make ~name:"hex roundtrip" ~count:300 QCheck.string (fun s ->
         Hex.decode_exn (Hex.encode s) = s);
-    QCheck.Test.make ~name:"xor involutive" ~count:300
-      QCheck.(pair (string_of_size (QCheck.Gen.return 16)) (string_of_size (QCheck.Gen.return 16)))
-      (fun (a, b) -> Bytes_ops.xor (Bytes_ops.xor a b) b = a);
     QCheck.Test.make ~name:"ct_equal agrees with (=)" ~count:300
       QCheck.(pair small_string small_string)
       (fun (a, b) -> Bytes_ops.ct_equal a b = (a = b));
@@ -133,7 +121,6 @@ let suite =
         Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
         Alcotest.test_case "hex known vectors" `Quick test_hex_known;
         Alcotest.test_case "hex errors" `Quick test_hex_errors;
-        Alcotest.test_case "xor" `Quick test_xor;
         Alcotest.test_case "ct_equal" `Quick test_ct_equal;
         Alcotest.test_case "endian helpers" `Quick test_endian;
         Alcotest.test_case "pad_to" `Quick test_pad_to;
