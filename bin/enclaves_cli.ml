@@ -858,7 +858,7 @@ let run_failover members n_managers seeds loss kill_at partition_at heal_after
         (match FO.primary t with Some p -> p | None -> "(none)")
         (FO.failovers t) (FO.failbacks t) (FO.demotions t);
       Format.printf "         replication: %a@." Netsim.Stats.pp_named
-        (Netsim.Stats.replication_named (FO.replication_stats t));
+        (Enclaves.Replication.named (FO.replication_stats t));
       if verbose then begin
         let pp_pairs fmt l =
           List.iter (fun (b, v) -> Format.fprintf fmt " %s=%Ld" b v) l
@@ -884,7 +884,7 @@ let run_failover members n_managers seeds loss kill_at partition_at heal_after
           ("demotions", Json.Int (FO.demotions t));
           ( "replication",
             Json.counters
-              (Netsim.Stats.replication_named (FO.replication_stats t)) );
+              (Enclaves.Replication.named (FO.replication_stats t)) );
         ]
     in
     (ok, row)
@@ -1415,7 +1415,8 @@ let run_intrude arm_str members seeds until_s no_admission sn_config json
            late)
     in
     ignore (D.run ~until:(Netsim.Vtime.of_s 8) d);
-    let stats = D.sentinel_stats d in
+    let sentinel = D.sentinel_counters d in
+    let injections_blocked = List.assoc "injections_blocked" sentinel in
     let suspect = if framing then victim else "mallory" in
     let level = Option.map (fun sn -> S.level sn suspect) (D.sentinel d) in
     let wire_level =
@@ -1431,7 +1432,7 @@ let run_intrude arm_str members seeds until_s no_admission sn_config json
            contained (scored to quarantine, or its injections dropped
            at the door) while the framed honest victim must NOT be. *)
         (quarantined wire_level
-        || stats.Netsim.Stats.injections_blocked > 0)
+        || injections_blocked > 0)
         && not (quarantined level)
       else quarantined level
     in
@@ -1481,14 +1482,14 @@ let run_intrude arm_str members seeds until_s no_admission sn_config json
            | Some l -> S.level_name l
            | None -> "(no sentinel)")
            (match wire_level with Some l -> S.level_name l | None -> "-")
-           stats.Netsim.Stats.injections_blocked joins_ok n_late unreadable
+           injections_blocked joins_ok n_late unreadable
        else
          Printf.printf "seed=%-3Ld %-11s joins=%d/%d rekeys=%d sealed=%b\n"
            seed
            (match level with
            | Some l -> S.level_name l
            | None -> "(no sentinel)")
-           joins_ok n_late stats.Netsim.Stats.emergency_rekeys unreadable);
+           joins_ok n_late (List.assoc "emergency_rekeys" sentinel) unreadable);
       Format.printf "         injected: %a@." Netsim.Stats.pp_named injected;
       if verbose then
         Format.printf "         sentinel: %a@." Netsim.Stats.pp_named
@@ -1518,7 +1519,7 @@ let run_intrude arm_str members seeds until_s no_admission sn_config json
                 | Some l -> S.level_name l
                 | None -> "") );
             ( "injections_blocked",
-              Json.Int stats.Netsim.Stats.injections_blocked );
+              Json.Int injections_blocked );
           ]
         else [])
     in
@@ -1753,11 +1754,10 @@ let run_calibrate seeds clean_seeds quick out json base_cfg =
     in
     ignore (D.run ~until:(Netsim.Vtime.of_s 8) d);
     let sn = Option.get (D.sentinel d) in
-    let stats = D.sentinel_stats d in
     let detected =
       if framing then
         quarantined (S.level sn S.wire_peer)
-        || stats.Netsim.Stats.injections_blocked > 0
+        || List.assoc "injections_blocked" (D.sentinel_counters d) > 0
       else quarantined (S.level sn "mallory")
     in
     let fp = List.exists (fun (n, _) -> quarantined (S.level sn n)) honest in
@@ -2078,7 +2078,8 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
         List.iter (fun (n, _) -> D.join d n) late;
         ignore (D.run ~until:(Netsim.Vtime.of_s until_s) d));
     let wedged = !wedge <> None in
-    let rs = D.resource_stats d in
+    let resource = D.resource_counters d in
+    let count name = List.assoc name resource in
     let quarantined l = S.level_rank l >= S.level_rank S.Quarantined in
     let honest_quarantined =
       match D.sentinel d with
@@ -2132,10 +2133,10 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
        before re-arming.) *)
     let engaged =
       no_degrade
-      || rs.Netsim.Stats.degraded_entries > 0
+      || count "degraded_entries" > 0
          && D.rearms d > 0
-         && rs.Netsim.Stats.records_shed > 0
-         && rs.Netsim.Stats.enospc_hits > 0
+         && count "records_shed" > 0
+         && count "enospc_hits" > 0
     in
     let ok =
       if no_degrade then (not expect_wedge) || wedged
@@ -2150,14 +2151,13 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
          else if survived then "SURVIVED"
          else "DAMAGED")
         joins_ok (List.length honest) reconverged healthy_end
-        rs.Netsim.Stats.records_shed rs.Netsim.Stats.enospc_hits
-        rs.Netsim.Stats.degraded_entries (D.rearms d)
+        (count "records_shed") (count "enospc_hits")
+        (count "degraded_entries") (D.rearms d)
         (match !wedge with
         | Some e -> "  [" ^ Printexc.to_string e ^ "]"
         | None -> "");
       if verbose then begin
-        Format.printf "         resource: %a@." Netsim.Stats.pp_named
-          (D.resource_counters d);
+        Format.printf "         resource: %a@." Netsim.Stats.pp_named resource;
         Format.printf "         storage:  %a@." Netsim.Stats.pp_named
           (D.storage_counters d);
         Format.printf "         sentinel: %a@." Netsim.Stats.pp_named
@@ -2177,7 +2177,7 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
           ("healthy_end", Json.Bool healthy_end);
           ("shed_markers_durable", Json.Bool markers_durable);
           ("bytes_bounded", Json.Bool bytes_bounded);
-          ("resource", Json.counters (D.resource_counters d));
+          ("resource", Json.counters resource);
           ("storage", Json.counters (D.storage_counters d));
         ]
     in

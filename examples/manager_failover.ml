@@ -66,7 +66,7 @@ let () =
     (String.concat " "
        (List.map
           (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-          (Netsim.Stats.replication_named stats)));
+          (Replication.named stats)));
 
   Failover.send_app t "carol" "we survived";
   run_for t 1000;
@@ -78,7 +78,7 @@ let () =
 
   let ok =
     List.length (Failover.connected_members t) = List.length directory
-    && stats.Netsim.Stats.warm_promotions = 1
+    && stats.Replication.warm_promotions = 1
     && Failover.failovers t = 0
   in
   Printf.printf "\nRESULT: %s\n"

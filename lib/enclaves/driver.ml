@@ -124,55 +124,18 @@ module Improved = struct
   type t = {
     sim : Netsim.Sim.t;
     net : Netsim.Network.t;
-    mutable leader : Leader.t;  (* replaced on a leader restart *)
+    node : Node.t;  (* the leader process, across incarnations *)
     members : (Types.agent, Member.t) Hashtbl.t;
     directory : (Types.agent * string) list;
-    policy : Leader.policy option;
     retry : retry_config option;
     rstats : retry_stats;
     recovery : recovery_config option;
     recstats : recovery_stats;
-    mutable journal : Journal.t option;  (* write-through to [backend] *)
-    mutable vault : Store.Vault.t option;
-        (* durable epoch vault, on the same backend as the journal *)
-    delivery_policy : Delivery.policy option;
-    delivery_budgets : Delivery.budgets option;
-        (* Byte bounds handed to every delivery incarnation; [None]
-           keeps the queues unbounded (the pre-budget behaviour). *)
-    mutable delivery : Delivery.t option;  (* replaced on a leader restart *)
-    mutable queue_crash_images : (string * string) list option;
-        (* Durable queue-file images captured at the last crash — like
-           [crash_bytes], what a restarted process actually finds. *)
-    mutable acc_delivery : Netsim.Stats.delivery;
-        (* Counters banked from delivery layers of dead leader
-           incarnations. *)
-    disk : Store.Mem.t option;  (* simulated disk under the journal *)
-    fault : Store.Fault.t option;  (* seeded fault layer, if configured *)
-    backend : Store.Backend.t option;  (* fault-wrapped handle to [disk] *)
-    mutable crash_bytes : string option;
-        (* Durable journal image captured at the last crash — what a
-           restarted process actually finds, as opposed to the live
-           buffer (which includes unsynced bytes the crash lost). *)
-    mutable vault_crash_bytes : string option;
-        (* Durable epoch-vault image captured at the same crash. *)
-    mutable acc_eio : int;  (* EIO retries banked from dead journals *)
-    mutable leader_down : bool;
-    (* Recoveries/resyncs performed by previous leader incarnations —
-       those counters die with the crashed instance. *)
-    mutable acc_recoveries : int;
-    mutable acc_resyncs : int;
-    (* Degraded-ladder activity banked from dead leader incarnations
-       (the ladder state itself dies with the instance: a restarted
-       leader re-probes storage and re-degrades if pressure holds). *)
-    mutable acc_degraded : int;
-    mutable acc_rearms : int;
-    mutable acc_shed : int;
     jrng : Prng.Splitmix.t;  (* jitter; split off the root stream *)
     preauth : preauth_config option;
     sentinel : Sentinel.t option;
-        (* One sentinel across leader incarnations: suspicion must
-           survive a restart, so the driver owns it and threads it
-           into every rebuilt leader. *)
+        (* Owned by the node across incarnations; the driver also needs
+           it at the pre-auth door. *)
     preauth_q : (string * Netsim.Trace.via option) Queue.t;
         (* Encoded [AuthInitReq] frames awaiting pre-auth service,
            with the injection path each arrived over — the path is
@@ -186,9 +149,6 @@ module Improved = struct
     prng_pump : Prng.Splitmix.t;
         (* Service jitter. Seeded independently of the root stream so
            enabling the pump perturbs no other consumer's draws. *)
-    mutable retry_stopped : bool;
-    mutable scan_handle : Netsim.Sim.handle option;
-    mutable recovery_handles : Netsim.Sim.handle list;
     watches : (Types.agent, lwatch) Hashtbl.t;
     pending_close : (Types.agent, Wire.Frame.t list) Hashtbl.t;
         (* Close frames from a session reset, re-sent alongside the
@@ -198,9 +158,14 @@ module Improved = struct
            wedge otherwise. *)
   }
 
+  (* The current incarnation; after a crash, the dead one until the
+     restart replaces it. *)
+  let leader t = Node.leader t.node
+  let leader_down t = Node.down t.node
+
   let deliver_to_leader t ?via bytes =
-    let replies = Leader.receive t.leader ?via bytes in
-    send_frames t.net ~src:(Leader.self t.leader) replies
+    let replies = Leader.receive (leader t) ?via bytes in
+    send_frames t.net ~src:(Leader.self (leader t)) replies
 
   (* Serve the pre-auth queue: at most [burst] queued handshakes per
      jittered [period] tick. Demand-driven — a tick is scheduled only
@@ -218,20 +183,19 @@ module Improved = struct
           *. ((Prng.Splitmix.next_float t.prng_pump *. 2.0) -. 1.0))
       in
       let delay = Int64.max 1L (Int64.add cfg.period displace) in
-      ignore
-        (Netsim.Sim.schedule_handle t.sim ~delay (fun () ->
-             t.pump_scheduled <- false;
-             if not t.leader_down then begin
-               let served = ref 0 in
-               while !served < cfg.burst && not (Queue.is_empty t.preauth_q) do
-                 incr served;
-                 let bytes, via = Queue.pop t.preauth_q in
-                 deliver_to_leader t ?via bytes
-               done;
-               send_frames t.net ~src:(Leader.self t.leader)
-                 (Leader.containment_sweep t.leader);
-               if not (Queue.is_empty t.preauth_q) then schedule_pump t cfg
-             end))
+      Netsim.Sim.schedule t.sim ~delay (fun () ->
+          t.pump_scheduled <- false;
+          if not (leader_down t) then begin
+            let served = ref 0 in
+            while !served < cfg.burst && not (Queue.is_empty t.preauth_q) do
+              incr served;
+              let bytes, via = Queue.pop t.preauth_q in
+              deliver_to_leader t ?via bytes
+            done;
+            send_frames t.net ~src:(Leader.self (leader t))
+              (Leader.containment_sweep (leader t));
+            if not (Queue.is_empty t.preauth_q) then schedule_pump t cfg
+          end)
     end
 
   (* Admission check for one decoded [AuthInitReq]. Without a sentinel
@@ -244,13 +208,13 @@ module Improved = struct
         let who = frame.F.sender in
         let known = List.mem_assoc who t.directory in
         let resuming =
-          match Leader.session t.leader who with
+          match Leader.session (leader t) who with
           | Leader.Waiting_for_key_ack _ -> true
           | Leader.Not_connected | Leader.Connected _ | Leader.Waiting_for_ack _
           | Leader.Recovering _ ->
               false
         in
-        let half_open = List.length (Leader.half_open t.leader) in
+        let half_open = List.length (Leader.half_open (leader t)) in
         match
           Sentinel.admit_preauth sn ?via ~peer:who ~known ~resuming ~half_open ()
         with
@@ -267,12 +231,12 @@ module Improved = struct
      flood pays in tail drops sooner. Directory members still join:
      their retransmission watchdog covers any tail drop. *)
   let effective_capacity t cfg =
-    if Leader.mode t.leader = Leader.Healthy then cfg.capacity
+    if Leader.mode (leader t) = Leader.Healthy then cfg.capacity
     else max 1 (cfg.capacity / 4)
 
   let gate_preauth t ?via bytes frame =
     if
-      Leader.mode t.leader <> Leader.Healthy
+      Leader.mode (leader t) <> Leader.Healthy
       && not (List.mem_assoc frame.F.sender t.directory)
     then t.preauth_dropped <- t.preauth_dropped + 1
     else if admit_preauth t ?via frame then
@@ -288,16 +252,16 @@ module Improved = struct
     else
       (* The denial itself scored evidence; contain synchronously so a
          flood is cut on the frame that crossed the threshold. *)
-      send_frames t.net ~src:(Leader.self t.leader)
-        (Leader.containment_sweep t.leader)
+      send_frames t.net ~src:(Leader.self (leader t))
+        (Leader.containment_sweep (leader t))
 
-  (* The handler reads [t.leader] at delivery time, so re-registering
+  (* The handler reads [leader t] at delivery time, so re-registering
      after a restart picks up the replacement automaton. The
      unauthenticated handshake path additionally passes the pre-auth
      gate when flood control or a sentinel is configured. *)
   let attach_leader t =
-    Netsim.Network.register t.net (Leader.self t.leader) (fun bytes ->
-        if not t.leader_down then begin
+    Netsim.Network.register t.net (Leader.self (leader t)) (fun bytes ->
+        if not (leader_down t) then begin
           let via = Netsim.Network.delivering_via t.net in
           (* Door check for raw wire injections: once the wire
              pseudo-peer itself is quarantined (a sustained pathless
@@ -342,19 +306,19 @@ module Improved = struct
      and AdminMsg frames whose nonce has not moved since the previous
      scan, and garbage-collect handshakes half-open past the GC age. *)
   let leader_scan t cfg () =
-    if t.leader_down then ()
-    else begin
+    if not (leader_down t) then begin
     let now = Netsim.Sim.now t.sim in
-    let lname = Leader.self t.leader in
-    let half_open = Leader.half_open t.leader in
-    let awaiting = Leader.awaiting_ack t.leader in
+    let l = leader t in
+    let lname = Leader.self l in
+    let half_open = Leader.half_open l in
+    let awaiting = Leader.awaiting_ack l in
     let live = half_open @ awaiting in
     Hashtbl.iter
       (fun who _ ->
         if not (List.mem who live) then Hashtbl.remove t.watches who)
       (Hashtbl.copy t.watches);
     let nonce_of who =
-      match Leader.session t.leader who with
+      match Leader.session l who with
       | Leader.Waiting_for_key_ack (nl, _) | Leader.Waiting_for_ack (nl, _) ->
           Some nl
       | Leader.Not_connected | Leader.Connected _ | Leader.Recovering _ ->
@@ -371,13 +335,13 @@ module Improved = struct
                 is_half_open
                 && Netsim.Vtime.(cfg.half_open_gc <= Int64.sub now w.first_seen)
               then begin
-                if Leader.abort_half_open t.leader who then
+                if Leader.abort_half_open l who then
                   t.rstats.half_open_gcs <- t.rstats.half_open_gcs + 1;
                 Hashtbl.remove t.watches who
               end
               else if Netsim.Vtime.(w.interval <= Int64.sub now w.last_rtx)
               then begin
-                send_frames t.net ~src:lname (Leader.retransmit t.leader who);
+                send_frames t.net ~src:lname (Leader.retransmit l who);
                 if is_half_open then
                   t.rstats.keydist_retransmits <-
                     t.rstats.keydist_retransmits + 1
@@ -405,7 +369,7 @@ module Improved = struct
     (* Half-open GC just scored [Half_open] evidence; act on any
        escalation now rather than waiting for the suspect's next
        frame. *)
-    send_frames t.net ~src:lname (Leader.containment_sweep t.leader);
+    send_frames t.net ~src:lname (Leader.containment_sweep l);
     (* Re-arm probe: while the leader sits below Healthy on the
        degraded-mode ladder, each scan tick retries the all-or-nothing
        re-arm — it succeeds exactly when the storage pressure has
@@ -413,9 +377,8 @@ module Improved = struct
        sweep then flushes any pending mode notice (a rung entered
        outside [Leader.receive], or the "healthy" all-clear the
        re-arm just queued) to the membership. *)
-    if Leader.mode t.leader <> Leader.Healthy then
-      ignore (Leader.try_rearm t.leader);
-    send_frames t.net ~src:lname (Leader.mode_sweep t.leader)
+    if Leader.mode l <> Leader.Healthy then ignore (Leader.try_rearm l);
+    send_frames t.net ~src:lname (Leader.mode_sweep l)
     end
 
   let member t who =
@@ -430,44 +393,38 @@ module Improved = struct
      and then GC'd). Stops by itself once this member has the group
      key — from then on liveness is the leader scan's job. *)
   let rec watch_member t cfg who ~delay ~keyless_ticks =
-    ignore
-      (Netsim.Sim.schedule_handle t.sim ~delay:(jittered t cfg delay)
-         (fun () ->
-           if not t.retry_stopped then begin
-             let m = member t who in
-             match Member.state m with
-             | Member.Waiting_for_key _ ->
-                 (* If a session reset's close never reached the
-                    leader, it still holds the old session and rejects
-                    our AuthInitReq — re-send the close first. *)
-                 (match Hashtbl.find_opt t.pending_close who with
-                 | Some close -> send_frames t.net ~src:who close
-                 | None -> ());
-                 send_frames t.net ~src:who (Member.retransmit_join m);
-                 t.rstats.handshake_retransmits <-
-                   t.rstats.handshake_retransmits + 1;
-                 watch_member t cfg who ~delay:(next_delay cfg delay)
-                   ~keyless_ticks:0
-             | Member.Connected _ when Member.group_key m = None ->
-                 Hashtbl.remove t.pending_close who;
-                 if keyless_ticks >= 1 then begin
-                   (* Two consecutive keyless observations: the leader
-                      no longer runs our session. Close and start
-                      over. *)
-                   t.rstats.session_resets <- t.rstats.session_resets + 1;
-                   let close = Member.leave m in
-                   send_frames t.net ~src:who close;
-                   Hashtbl.replace t.pending_close who close;
-                   send_frames t.net ~src:who (Member.join m);
-                   watch_member t cfg who ~delay:cfg.handshake_initial
-                     ~keyless_ticks:0
-                 end
-                 else
-                   watch_member t cfg who ~delay:(next_delay cfg delay)
-                     ~keyless_ticks:(keyless_ticks + 1)
-             | Member.Connected _ | Member.Not_connected ->
-                 Hashtbl.remove t.pending_close who
-           end))
+    Netsim.Sim.schedule t.sim ~delay:(jittered t cfg delay) (fun () ->
+        let m = member t who in
+        match Member.state m with
+        | Member.Waiting_for_key _ ->
+            (* If a session reset's close never reached the leader, it
+               still holds the old session and rejects our AuthInitReq
+               — re-send the close first. *)
+            (match Hashtbl.find_opt t.pending_close who with
+            | Some close -> send_frames t.net ~src:who close
+            | None -> ());
+            send_frames t.net ~src:who (Member.retransmit_join m);
+            t.rstats.handshake_retransmits <- t.rstats.handshake_retransmits + 1;
+            watch_member t cfg who ~delay:(next_delay cfg delay)
+              ~keyless_ticks:0
+        | Member.Connected _ when Member.group_key m = None ->
+            Hashtbl.remove t.pending_close who;
+            if keyless_ticks >= 1 then begin
+              (* Two consecutive keyless observations: the leader no
+                 longer runs our session. Close and start over. *)
+              t.rstats.session_resets <- t.rstats.session_resets + 1;
+              let close = Member.leave m in
+              send_frames t.net ~src:who close;
+              Hashtbl.replace t.pending_close who close;
+              send_frames t.net ~src:who (Member.join m);
+              watch_member t cfg who ~delay:cfg.handshake_initial
+                ~keyless_ticks:0
+            end
+            else
+              watch_member t cfg who ~delay:(next_delay cfg delay)
+                ~keyless_ticks:(keyless_ticks + 1)
+        | Member.Connected _ | Member.Not_connected ->
+            Hashtbl.remove t.pending_close who)
 
   (* --- view anti-entropy --- *)
 
@@ -476,8 +433,8 @@ module Improved = struct
      AdminMsg are skipped (not queued behind it) — the next beacon
      will catch them, and the queue cannot fill with stale digests. *)
   let broadcast_digests t =
-    if not t.leader_down then begin
-      let l = t.leader in
+    if not (leader_down t) then begin
+      let l = leader t in
       let digest = Leader.view_digest l in
       let epoch =
         match Leader.group_key l with
@@ -507,41 +464,37 @@ module Improved = struct
      member cannot distinguish that from a dead leader, so it probes,
      then rejoins from scratch. *)
   let rec ae_watch t rc who ~last_seen ~silent_for =
-    ignore
-      (Netsim.Sim.schedule_handle t.sim ~delay:rc.digest_period (fun () ->
-           if not t.retry_stopped then begin
-             let m = member t who in
-             let seen = Member.digests_seen m in
-             if
-               (not (Member.is_connected m))
-               || Member.group_key m = None
-               || seen > last_seen
-             then ae_watch t rc who ~last_seen:seen ~silent_for:0L
-             else begin
-               let silent = Int64.add silent_for rc.digest_period in
-               if Netsim.Vtime.(rc.reset_after <= silent) then begin
-                 t.recstats.cold_reauths <- t.recstats.cold_reauths + 1;
-                 let close = Member.leave m in
-                 send_frames t.net ~src:who close;
-                 Hashtbl.replace t.pending_close who close;
-                 send_frames t.net ~src:who (Member.join m);
-                 (match t.retry with
-                 | Some cfg ->
-                     watch_member t cfg who ~delay:cfg.handshake_initial
-                       ~keyless_ticks:0
-                 | None -> ());
-                 ae_watch t rc who ~last_seen:(Member.digests_seen m)
-                   ~silent_for:0L
-               end
-               else begin
-                 if Netsim.Vtime.(rc.probe_after <= silent) then begin
-                   t.recstats.probes_sent <- t.recstats.probes_sent + 1;
-                   send_frames t.net ~src:who (Member.resync_request m)
-                 end;
-                 ae_watch t rc who ~last_seen ~silent_for:silent
-               end
-             end
-           end))
+    Netsim.Sim.schedule t.sim ~delay:rc.digest_period (fun () ->
+        let m = member t who in
+        let seen = Member.digests_seen m in
+        if
+          (not (Member.is_connected m))
+          || Member.group_key m = None
+          || seen > last_seen
+        then ae_watch t rc who ~last_seen:seen ~silent_for:0L
+        else begin
+          let silent = Int64.add silent_for rc.digest_period in
+          if Netsim.Vtime.(rc.reset_after <= silent) then begin
+            t.recstats.cold_reauths <- t.recstats.cold_reauths + 1;
+            let close = Member.leave m in
+            send_frames t.net ~src:who close;
+            Hashtbl.replace t.pending_close who close;
+            send_frames t.net ~src:who (Member.join m);
+            (match t.retry with
+            | Some cfg ->
+                watch_member t cfg who ~delay:cfg.handshake_initial
+                  ~keyless_ticks:0
+            | None -> ());
+            ae_watch t rc who ~last_seen:(Member.digests_seen m) ~silent_for:0L
+          end
+          else begin
+            if Netsim.Vtime.(rc.probe_after <= silent) then begin
+              t.recstats.probes_sent <- t.recstats.probes_sent + 1;
+              send_frames t.net ~src:who (Member.resync_request m)
+            end;
+            ae_watch t rc who ~last_seen ~silent_for:silent
+          end
+        end)
 
   (* The member handler also watches for a completed cold-restart
      beacon handshake: the member has already reset and sent its
@@ -563,37 +516,8 @@ module Improved = struct
           | None -> ()
         end)
 
-  (* Freeze one delivery layer's counters (the member-side dedup count
-     is filled in by [delivery_stats]). *)
-  let delivery_snapshot d =
-    let c = Delivery.counters d in
-    {
-      Netsim.Stats.queued = c.Delivery.queued;
-      drained = c.Delivery.drained;
-      deduped = 0;
-      resealed = c.Delivery.resealed;
-      rejected_stale = c.Delivery.rejected_stale;
-      delivered_stale = c.Delivery.delivered_stale;
-      queue_bytes_hwm = c.Delivery.queue_bytes_hwm;
-    }
-
-  let add_delivery (a : Netsim.Stats.delivery) (b : Netsim.Stats.delivery) =
-    {
-      Netsim.Stats.queued = a.Netsim.Stats.queued + b.Netsim.Stats.queued;
-      drained = a.Netsim.Stats.drained + b.Netsim.Stats.drained;
-      deduped = a.Netsim.Stats.deduped + b.Netsim.Stats.deduped;
-      resealed = a.Netsim.Stats.resealed + b.Netsim.Stats.resealed;
-      rejected_stale =
-        a.Netsim.Stats.rejected_stale + b.Netsim.Stats.rejected_stale;
-      delivered_stale =
-        a.Netsim.Stats.delivered_stale + b.Netsim.Stats.delivered_stale;
-      queue_bytes_hwm =
-        max a.Netsim.Stats.queue_bytes_hwm b.Netsim.Stats.queue_bytes_hwm;
-    }
-
   let create ?(seed = 42L) ?latency_us ?policy ?retry ?recovery ?storage_faults
-      ?delivery:delivery_policy ?delivery_budgets ?preauth ?intrusion ~leader
-      ~directory () =
+      ?delivery ?delivery_budgets ?preauth ?intrusion ~leader ~directory () =
     let sim = Netsim.Sim.create ~seed () in
     let net = Netsim.Network.create ~sim ?latency_us () in
     let rng = Netsim.Sim.rng sim in
@@ -603,79 +527,27 @@ module Improved = struct
           Sentinel.create ~config ~clock:(fun () -> Netsim.Sim.now sim) ())
         intrusion
     in
-    (* With recovery on, the journal writes through a simulated disk —
+    (* With recovery on, the leader writes through a simulated disk —
        optionally wrapped in the seeded fault layer — so a crash can
        capture the durable image instead of trusting the live buffer. *)
-    let disk, fault, backend =
-      match recovery with
-      | None -> (None, None, None)
-      | Some _ ->
-          let mem = Store.Mem.create () in
-          let inner = Store.Mem.handle mem in
-          let fault, handle =
-            match storage_faults with
-            | Some config ->
-                let f =
-                  Store.Fault.create ~config ~rng:(Prng.Splitmix.split rng)
-                    inner
-                in
-                (Some f, Store.Fault.handle f)
-            | None -> (None, inner)
-          in
-          (Some mem, fault, Some handle)
-    in
-    let journal =
-      match recovery with
-      | Some _ -> Some (Journal.create ?disk:backend ())
-      | None -> None
-    in
-    let vault =
-      match recovery with
-      | Some _ -> Some (Store.Vault.create ?disk:backend ())
-      | None -> None
-    in
-    let delivery =
-      Option.map
-        (fun policy ->
-          Delivery.create ~policy ?budgets:delivery_budgets ?disk:backend ())
-        delivery_policy
-    in
-    let l =
-      Leader.create ~self:leader ~rng ~directory ?policy ?journal ?vault
-        ?delivery ?sentinel ()
+    let node =
+      Node.create ~self:leader ~rng ~directory ?policy
+        ?disk:(Option.map (fun _ -> Store.Mem.create ()) recovery)
+        ?faults:storage_faults ?delivery ?budgets:delivery_budgets ?sentinel
+        ~standby:false ()
     in
     let members = Hashtbl.create 8 in
     let t =
       {
         sim;
         net;
-        leader = l;
+        node;
         members;
         directory;
-        policy;
         retry;
         rstats = fresh_retry_stats ();
         recovery;
         recstats = fresh_recovery_stats ();
-        journal;
-        vault;
-        delivery_policy;
-        delivery_budgets;
-        delivery;
-        queue_crash_images = None;
-        acc_delivery = Netsim.Stats.empty_delivery;
-        disk;
-        fault;
-        backend;
-        crash_bytes = None;
-        vault_crash_bytes = None;
-        acc_eio = 0;
-        leader_down = false;
-        acc_recoveries = 0;
-        acc_resyncs = 0;
-        acc_degraded = 0;
-        acc_rearms = 0;
-        acc_shed = 0;
         jrng = Prng.Splitmix.split rng;
         preauth;
         sentinel;
@@ -684,9 +556,6 @@ module Improved = struct
         injections_blocked = 0;
         pump_scheduled = false;
         prng_pump = Prng.Splitmix.create (Int64.logxor seed 0x70726561757468L);
-        retry_stopped = false;
-        scan_handle = None;
-        recovery_handles = [];
         watches = Hashtbl.create 8;
         pending_close = Hashtbl.create 8;
       }
@@ -699,19 +568,12 @@ module Improved = struct
         attach_member t m)
       directory;
     (match retry with
-    | Some cfg ->
-        t.scan_handle <-
-          Some
-            (Netsim.Sim.every_handle sim ~period:cfg.scan_period
-               (leader_scan t cfg))
+    | Some cfg -> Netsim.Sim.every sim ~period:cfg.scan_period (leader_scan t cfg)
     | None -> ());
     (match recovery with
     | Some rc ->
-        t.recovery_handles <-
-          [
-            Netsim.Sim.every_handle sim ~period:rc.digest_period (fun () ->
-                broadcast_digests t);
-          ];
+        Netsim.Sim.every sim ~period:rc.digest_period (fun () ->
+            broadcast_digests t);
         List.iter
           (fun (name, _) -> ae_watch t rc name ~last_seen:0 ~silent_for:0L)
           directory
@@ -720,17 +582,10 @@ module Improved = struct
 
   let sim t = t.sim
   let net t = t.net
-  let leader t = t.leader
   let retry_stats t = t.rstats
   let recovery_stats t = t.recstats
-  let journal_bytes t = Option.map Journal.contents t.journal
-  let epoch_vault t = t.vault
-
-  let sessions_recovered t = t.acc_recoveries + Leader.recoveries t.leader
-  let resyncs_served t = t.acc_resyncs + Leader.resyncs_served t.leader
-
-  let divergences_detected t =
-    Hashtbl.fold (fun _ m acc -> acc + Member.view_divergences m) t.members 0
+  let journal_bytes t = Option.map Journal.contents (Node.journal t.node)
+  let epoch_vault t = Node.vault t.node
 
   let join t who =
     let m = member t who in
@@ -739,15 +594,6 @@ module Improved = struct
     | Some cfg ->
         watch_member t cfg who ~delay:cfg.handshake_initial ~keyless_ticks:0
     | None -> ()
-
-  let stop_retry t =
-    t.retry_stopped <- true;
-    (match t.scan_handle with
-    | Some h -> Netsim.Sim.cancel h
-    | None -> ());
-    t.scan_handle <- None;
-    List.iter Netsim.Sim.cancel t.recovery_handles;
-    t.recovery_handles <- []
 
   let leave t who =
     let m = member t who in
@@ -758,111 +604,82 @@ module Improved = struct
     send_frames t.net ~src:who (Member.send_app m body)
 
   let dispatch_leader t frames =
-    send_frames t.net ~src:(Leader.self t.leader) frames
+    send_frames t.net ~src:(Leader.self (leader t)) frames
 
-  let rekey t = dispatch_leader t (Leader.rekey t.leader)
-  let expel t who = dispatch_leader t (Leader.expel t.leader who)
+  let rekey t = dispatch_leader t (Leader.rekey (leader t))
+  let expel t who = dispatch_leader t (Leader.expel (leader t) who)
 
   (* --- store-and-forward --- *)
 
-  let mark_offline t who = Leader.mark_offline t.leader who
-  let mark_online t who = dispatch_leader t (Leader.mark_online t.leader who)
-  let offline_members t = Leader.offline_members t.leader
-  let delivery t = t.delivery
+  let mark_offline t who = Leader.mark_offline (leader t) who
+  let mark_online t who = dispatch_leader t (Leader.mark_online (leader t) who)
+  let offline_members t = Leader.offline_members (leader t)
+  let delivery t = Leader.delivery (leader t)
 
   let queue_depth t who =
-    match t.delivery with Some d -> Delivery.depth d ~member:who | None -> 0
+    match delivery t with Some d -> Delivery.depth d ~member:who | None -> 0
 
   let total_queue_depth t =
-    match t.delivery with Some d -> Delivery.total_depth d | None -> 0
+    match delivery t with Some d -> Delivery.total_depth d | None -> 0
 
   let delivery_stats t =
-    let live =
-      match t.delivery with
-      | Some d -> delivery_snapshot d
-      | None -> Netsim.Stats.empty_delivery
-    in
-    let deduped =
-      Hashtbl.fold
-        (fun _ m acc -> acc + Member.deliveries_deduped m)
-        t.members 0
-    in
-    let s = add_delivery t.acc_delivery live in
-    { s with Netsim.Stats.deduped }
+    let c = (Node.totals t.node).Node.delivery in
+    {
+      Netsim.Stats.queued = c.Delivery.queued;
+      drained = c.Delivery.drained;
+      deduped =
+        Hashtbl.fold
+          (fun _ m acc -> acc + Member.deliveries_deduped m)
+          t.members 0;
+      resealed = c.Delivery.resealed;
+      rejected_stale = c.Delivery.rejected_stale;
+      delivered_stale = c.Delivery.delivered_stale;
+      queue_bytes_hwm = c.Delivery.queue_bytes_hwm;
+    }
 
   let delivery_counters t = Netsim.Stats.delivery_named (delivery_stats t)
 
   (* --- leader crash and restart --- *)
 
   let crash_leader t =
-    if not t.leader_down then begin
-      t.leader_down <- true;
+    if not (leader_down t) then begin
       t.recstats.leader_crashes <- t.recstats.leader_crashes + 1;
-      (* These counters die with the crashed instance; bank them. *)
-      t.acc_recoveries <- t.acc_recoveries + Leader.recoveries t.leader;
-      t.acc_resyncs <- t.acc_resyncs + Leader.resyncs_served t.leader;
-      (* What a restarted process will find is the DURABLE image, not
-         the live buffer: unsynced bytes (e.g. behind a dropped fsync)
-         die here. *)
-      (match (t.disk, t.journal) with
-      | Some mem, Some j ->
-          t.crash_bytes <-
-            Some (Option.value ~default:"" (Store.Mem.durable_of mem (Journal.file j)))
-      | _ -> ());
-      (match t.disk with
-      | Some mem ->
-          t.vault_crash_bytes <-
-            Some
-              (Option.value ~default:""
-                 (Store.Mem.durable_of mem Store.Vault.default_file))
-      | None -> ());
-      (* Same rule for the delivery queues: a restarted process finds
-         each queue file's durable image, not the live structure. *)
-      (match (t.disk, t.delivery) with
-      | Some mem, Some d ->
-          t.queue_crash_images <-
-            Some
-              (List.map
-                 (fun (file, _) ->
-                   ( file,
-                     Option.value ~default:"" (Store.Mem.durable_of mem file) ))
-                 (Delivery.files d))
-      | _ -> ());
+      Node.crash t.node;
       (* The pre-auth queue is process memory; a crash loses it. *)
       Queue.clear t.preauth_q;
-      Netsim.Network.unregister t.net (Leader.self t.leader)
+      Netsim.Network.unregister t.net (Leader.self (leader t))
     end
 
   (* Retransmit outstanding recovery challenges every scan until they
      are answered or [challenge_timeout] has passed, then give up on
      the stragglers — the cold path. *)
   let rec recovery_scan t rc ~started ~period =
-    ignore
-      (Netsim.Sim.schedule_handle t.sim ~delay:period (fun () ->
-           if (not t.leader_down) && not t.retry_stopped then begin
-             let now = Netsim.Sim.now t.sim in
-             let pending = Leader.recovering t.leader in
-             if pending <> [] then begin
-               let expired =
-                 Netsim.Vtime.(rc.challenge_timeout <= Int64.sub now started)
-               in
-               List.iter
-                 (fun who ->
-                   if expired then begin
-                     if Leader.abort_recovery t.leader who then
-                       t.recstats.challenges_failed <-
-                         t.recstats.challenges_failed + 1
-                   end
-                   else begin
-                     t.recstats.challenge_retransmits <-
-                       t.recstats.challenge_retransmits + 1;
-                     send_frames t.net ~src:(Leader.self t.leader)
-                       (Leader.retransmit t.leader who)
-                   end)
-                 pending;
-               if not expired then recovery_scan t rc ~started ~period
-             end
-           end))
+    Netsim.Sim.schedule t.sim ~delay:period (fun () ->
+        if not (leader_down t) then begin
+          let l = leader t in
+          let now = Netsim.Sim.now t.sim in
+          let pending = Leader.recovering l in
+          if pending <> [] then begin
+            let expired =
+              Netsim.Vtime.(rc.challenge_timeout <= Int64.sub now started)
+            in
+            List.iter
+              (fun who ->
+                if expired then begin
+                  if Leader.abort_recovery l who then
+                    t.recstats.challenges_failed <-
+                      t.recstats.challenges_failed + 1
+                end
+                else begin
+                  t.recstats.challenge_retransmits <-
+                    t.recstats.challenge_retransmits + 1;
+                  send_frames t.net ~src:(Leader.self l)
+                    (Leader.retransmit l who)
+                end)
+              pending;
+            if not expired then recovery_scan t rc ~started ~period
+          end
+        end)
 
   (* Re-broadcast the cold-restart beacons to members that have not
      rejoined yet, every [period], until [challenge_timeout] has
@@ -871,159 +688,64 @@ module Improved = struct
      matching challenge, so every lost frame in the 3-message exchange
      is covered. Stops early if this leader incarnation is replaced. *)
   let rec beacon_scan t rc ~incarnation ~beacons ~started ~period =
-    ignore
-      (Netsim.Sim.schedule_handle t.sim ~delay:period (fun () ->
-           if
-             (not t.leader_down) && (not t.retry_stopped)
-             && t.leader == incarnation
-             && Netsim.Vtime.(
-                  Int64.sub (Netsim.Sim.now t.sim) started < rc.challenge_timeout)
-           then begin
-             let missing =
-               List.filter
-                 (fun (f : Wire.Frame.t) ->
-                   match Leader.session t.leader f.Wire.Frame.recipient with
-                   | Leader.Not_connected -> true
-                   | _ -> false)
-                 beacons
-             in
-             if missing <> [] then begin
-               t.recstats.cold_beacons_sent <-
-                 t.recstats.cold_beacons_sent + List.length missing;
-               send_frames t.net ~src:(Leader.self t.leader) missing;
-               beacon_scan t rc ~incarnation ~beacons ~started ~period
-             end
-           end))
-
-  (* Bank the dying journal's retry counter before replacing it. *)
-  let retire_journal t =
-    (match t.journal with
-    | Some j -> t.acc_eio <- t.acc_eio + Journal.eio_retries j
-    | None -> ());
-    t.journal <- None
+    Netsim.Sim.schedule t.sim ~delay:period (fun () ->
+        if
+          (not (leader_down t))
+          && leader t == incarnation
+          && Netsim.Vtime.(
+               Int64.sub (Netsim.Sim.now t.sim) started < rc.challenge_timeout)
+        then begin
+          let missing =
+            List.filter
+              (fun (f : Wire.Frame.t) ->
+                match Leader.session incarnation f.Wire.Frame.recipient with
+                | Leader.Not_connected -> true
+                | _ -> false)
+              beacons
+          in
+          if missing <> [] then begin
+            t.recstats.cold_beacons_sent <-
+              t.recstats.cold_beacons_sent + List.length missing;
+            send_frames t.net ~src:(Leader.self incarnation) missing;
+            beacon_scan t rc ~incarnation ~beacons ~started ~period
+          end
+        end)
 
   let restart_leader ?(warm = true) ?journal_bytes t =
-    let lname = Leader.self t.leader in
-    let rng = Netsim.Sim.rng t.sim in
-    (* Ladder counters die with the replaced automaton; bank them.
-       (Banked here rather than in [crash_leader] so a crash-free
-       restart keeps them too.) *)
-    t.acc_degraded <- t.acc_degraded + Leader.degraded_entries t.leader;
-    t.acc_rearms <- t.acc_rearms + Leader.rearms t.leader;
-    (* Explicit bytes (tests feeding tampered journals) win; then the
-       durable crash image if one was captured; the live buffer is the
-       last resort (restart without a crash). *)
-    let bytes =
-      match (journal_bytes, t.crash_bytes) with
-      | (Some _ as b), _ -> b
-      | None, Some _ ->
+    match t.recovery with
+    | None ->
+        invalid_arg "Driver.Improved.restart_leader: created without ~recovery"
+    | Some rc ->
+        let r = Node.restart ?journal:journal_bytes ~warm t.node in
+        if r.Node.crash_image then
           t.recstats.crash_images <- t.recstats.crash_images + 1;
-          t.crash_bytes
-      | None, None -> Option.map Journal.contents t.journal
-    in
-    t.crash_bytes <- None;
-    (* The restarted process re-opens the epoch vault from its durable
-       image (what the crash left on "disk"), not the live structure —
-       a put whose fsync was dropped must not survive. *)
-    (match t.recovery with
-    | Some _ ->
-        let image =
-          match t.vault_crash_bytes with
-          | Some b -> b
-          | None -> (
-              match t.vault with Some v -> Store.Vault.contents v | None -> "")
-        in
-        t.vault <- Some (Store.Vault.of_bytes ?disk:t.backend image)
-    | None -> ());
-    t.vault_crash_bytes <- None;
-    let vault = t.vault in
-    (* The delivery queues follow the same discipline: bank the dead
-       incarnation's counters, then rebuild the layer from the captured
-       durable images (or the live images on a crash-free restart). *)
-    (match t.delivery_policy with
-    | Some policy ->
-        (match t.delivery with
-        | Some d ->
-            t.acc_delivery <- add_delivery t.acc_delivery (delivery_snapshot d);
-            t.acc_shed <- t.acc_shed + (Delivery.counters d).Delivery.records_shed
-        | None -> ());
-        let images =
-          match t.queue_crash_images with
-          | Some imgs -> imgs
-          | None -> (
-              match t.delivery with Some d -> Delivery.files d | None -> [])
-        in
-        t.delivery <-
-          Some
-            (Delivery.of_images ~policy ?budgets:t.delivery_budgets
-               ?disk:t.backend images)
-    | None -> ());
-    t.queue_crash_images <- None;
-    let delivery = t.delivery in
-    match (warm, bytes) with
-    | true, Some b ->
-        retire_journal t;
-        let j, state, status = Journal.recover ?disk:t.backend b in
-        let l, challenges =
-          Leader.recover ~self:lname ~rng ~directory:t.directory
-            ?policy:t.policy ~journal:j ?vault ?delivery ?sentinel:t.sentinel
-            ~state ()
-        in
-        t.leader <- l;
-        t.journal <- Some j;
-        t.leader_down <- false;
         attach_leader t;
-        t.recstats.warm_restarts <- t.recstats.warm_restarts + 1;
-        t.recstats.challenges_sent <-
-          t.recstats.challenges_sent + List.length challenges;
-        send_frames t.net ~src:lname challenges;
-        let rc = Option.value t.recovery ~default:default_recovery in
-        let period =
-          match t.retry with
-          | Some cfg -> cfg.scan_period
-          | None -> Netsim.Vtime.of_ms 200
-        in
-        recovery_scan t rc ~started:(Netsim.Sim.now t.sim) ~period;
-        status
-    | false, Some b ->
-        (* Cold restart with a surviving journal: no session is
-           trusted, but the journal still pins the epoch floor and
-           stamps the cold-restart beacons. *)
-        retire_journal t;
-        let recs, status = Journal.replay b in
-        let state = Journal.state_of_records recs in
-        let j = Journal.create ?disk:t.backend () in
-        let l, beacons =
-          Leader.cold_recover ~self:lname ~rng ~directory:t.directory
-            ?policy:t.policy ~journal:j ?vault ?delivery ?sentinel:t.sentinel
-            ~state ()
-        in
-        t.leader <- l;
-        t.journal <- Some j;
-        t.leader_down <- false;
-        attach_leader t;
-        t.recstats.cold_restarts <- t.recstats.cold_restarts + 1;
-        let rc = Option.value t.recovery ~default:default_recovery in
-        if rc.beacon_on_cold then begin
-          t.recstats.cold_beacons_sent <-
-            t.recstats.cold_beacons_sent + List.length beacons;
-          send_frames t.net ~src:lname beacons;
-          beacon_scan t rc ~incarnation:l ~beacons
-            ~started:(Netsim.Sim.now t.sim) ~period:rc.digest_period
+        let l = leader t in
+        let lname = Leader.self l in
+        let now = Netsim.Sim.now t.sim in
+        if warm then begin
+          t.recstats.warm_restarts <- t.recstats.warm_restarts + 1;
+          t.recstats.challenges_sent <-
+            t.recstats.challenges_sent + List.length r.Node.frames;
+          send_frames t.net ~src:lname r.Node.frames;
+          let period =
+            match t.retry with
+            | Some cfg -> cfg.scan_period
+            | None -> Netsim.Vtime.of_ms 200
+          in
+          recovery_scan t rc ~started:now ~period
+        end
+        else begin
+          t.recstats.cold_restarts <- t.recstats.cold_restarts + 1;
+          if rc.beacon_on_cold then begin
+            t.recstats.cold_beacons_sent <-
+              t.recstats.cold_beacons_sent + List.length r.Node.frames;
+            send_frames t.net ~src:lname r.Node.frames;
+            beacon_scan t rc ~incarnation:l ~beacons:r.Node.frames ~started:now
+              ~period:rc.digest_period
+          end
         end;
-        status
-    | _, None ->
-        (* No journal at all (recovery off): the PR-2 baseline — a
-           fresh automaton that knows nothing. *)
-        let l =
-          Leader.create ~self:lname ~rng ~directory:t.directory
-            ?policy:t.policy ?delivery ?sentinel:t.sentinel ()
-        in
-        t.leader <- l;
-        t.leader_down <- false;
-        attach_leader t;
-        t.recstats.cold_restarts <- t.recstats.cold_restarts + 1;
-        Journal.Clean
+        r.Node.status
 
   let schedule_leader_crash ?restart_after ?(warm = true) ?journal_bytes t ~at
       () =
@@ -1031,17 +753,13 @@ module Improved = struct
       let now = Netsim.Sim.now t.sim in
       if Netsim.Vtime.(now < at) then Int64.sub at now else 0L
     in
-    ignore
-      (Netsim.Sim.schedule_handle t.sim ~delay (fun () ->
-           crash_leader t;
-           match restart_after with
-           | Some d ->
-               ignore
-                 (Netsim.Sim.schedule_handle t.sim ~delay:d (fun () ->
-                      ignore (restart_leader ~warm ?journal_bytes t)))
-           | None -> ()))
-
-  let leader_down t = t.leader_down
+    Netsim.Sim.schedule t.sim ~delay (fun () ->
+        crash_leader t;
+        match restart_after with
+        | Some d ->
+            Netsim.Sim.schedule t.sim ~delay:d (fun () ->
+                ignore (restart_leader ~warm ?journal_bytes t))
+        | None -> ())
 
   let start_periodic_rekey t ~period ?until () =
     Netsim.Sim.every_handle t.sim ~period ?until (fun () -> rekey t)
@@ -1053,7 +771,7 @@ module Improved = struct
        closes the session, so the comparison is only meaningful while
        the leader still runs a session for [who]. An expelled member
        keeps its old [rcv_A] but the session it belonged to is gone. *)
-    match Leader.session t.leader who with
+    match Leader.session (leader t) who with
     | Leader.Not_connected | Leader.Waiting_for_key_ack _
     | Leader.Recovering _ ->
         (* A recovering session's [snd_A] died with the crashed leader;
@@ -1063,7 +781,7 @@ module Improved = struct
     | Leader.Connected _ | Leader.Waiting_for_ack _ ->
         let m = member t who in
         let rcv = Member.accepted_admin m in
-        let snd = Leader.sent_admin t.leader who in
+        let snd = Leader.sent_admin (leader t) who in
         let rec is_prefix xs ys =
           match (xs, ys) with
           | [], _ -> true
@@ -1079,7 +797,7 @@ module Improved = struct
      session, everyone (leader included) agrees on the group-key
      epoch, and §5.4 ordering holds for every live session. *)
   let converged t =
-    match Leader.group_key t.leader with
+    match Leader.group_key (leader t) with
     | None -> false
     | Some gk ->
         Hashtbl.fold
@@ -1098,7 +816,7 @@ module Improved = struct
   let view_converged t =
     converged t
     &&
-    let lview = Leader.members t.leader in
+    let lview = Leader.members (leader t) in
     Hashtbl.fold
       (fun _ m acc -> acc && Member.group_view m = lview)
       t.members true
@@ -1112,7 +830,10 @@ module Improved = struct
       ("session_resets", t.rstats.session_resets);
     ]
 
+  let sessions_recovered t = (Node.totals t.node).Node.recoveries
+
   let recovery_counters t =
+    let n = Node.totals t.node in
     [
       ("leader_crashes", t.recstats.leader_crashes);
       ("warm_restarts", t.recstats.warm_restarts);
@@ -1120,99 +841,74 @@ module Improved = struct
       ("challenges_sent", t.recstats.challenges_sent);
       ("challenge_retransmits", t.recstats.challenge_retransmits);
       ("challenges_failed", t.recstats.challenges_failed);
-      ("sessions_recovered", sessions_recovered t);
+      ("sessions_recovered", n.Node.recoveries);
       ("digests_broadcast", t.recstats.digests_broadcast);
-      ("divergences_detected", divergences_detected t);
-      ("resyncs_served", resyncs_served t);
+      ( "divergences_detected",
+        Hashtbl.fold (fun _ m acc -> acc + Member.view_divergences m) t.members 0
+      );
+      ("resyncs_served", n.Node.resyncs_served);
       ("probes_sent", t.recstats.probes_sent);
       ("cold_reauths", t.recstats.cold_reauths);
       ("cold_beacons_sent", t.recstats.cold_beacons_sent);
       ("beacon_reauths", t.recstats.beacon_reauths);
     ]
 
-  let storage_stats t =
-    let faults =
-      match t.fault with
-      | Some f -> Store.Fault.counters f
-      | None -> Store.Fault.empty_counters ()
-    in
-    let live_retries =
-      match t.journal with Some j -> Journal.eio_retries j | None -> 0
-    in
-    {
-      Netsim.Stats.torn_writes = faults.Store.Fault.torn_writes;
-      short_writes = faults.Store.Fault.short_writes;
-      dropped_fsyncs = faults.Store.Fault.dropped_fsyncs;
-      eio_injected = faults.Store.Fault.eio_injected;
-      eio_retries = t.acc_eio + live_retries;
-      crash_images_replayed = t.recstats.crash_images;
-    }
+  let fault_counters t =
+    match Node.fault t.node with
+    | Some f -> Store.Fault.counters f
+    | None -> Store.Fault.empty_counters ()
 
-  let storage_counters t = Netsim.Stats.storage_named (storage_stats t)
+  let storage_counters t =
+    let f = fault_counters t in
+    [
+      ("torn_writes", f.Store.Fault.torn_writes);
+      ("short_writes", f.Store.Fault.short_writes);
+      ("dropped_fsyncs", f.Store.Fault.dropped_fsyncs);
+      ("eio_injected", f.Store.Fault.eio_injected);
+      ("eio_retries", (Node.totals t.node).Node.eio_retries);
+      ("crash_images_replayed", t.recstats.crash_images);
+    ]
 
   (* --- resource pressure and the degraded-mode ladder --- *)
 
-  let fault t = t.fault
-  let leader_mode t = Leader.mode t.leader
-  let durability_armed t = Leader.durability_armed t.leader
+  let leader_mode t = Leader.mode (leader t)
+  let durability_armed t = Leader.durability_armed (leader t)
+  let rearms t = (Node.totals t.node).Node.rearms
 
-  let degraded_entries t = t.acc_degraded + Leader.degraded_entries t.leader
-  let rearms t = t.acc_rearms + Leader.rearms t.leader
+  let with_fault t f =
+    match Node.fault t.node with Some fault -> f fault | None -> ()
 
-  let set_space_budget t b =
-    match t.fault with
-    | Some f -> Store.Fault.set_space_budget f b
-    | None -> ()
-
-  let heal_stall t =
-    match t.fault with Some f -> Store.Fault.heal_stall f | None -> ()
-
-  let trigger_stall t =
-    match t.fault with Some f -> Store.Fault.trigger_stall f | None -> ()
+  let set_space_budget t b = with_fault t (fun f -> Store.Fault.set_space_budget f b)
+  let heal_stall t = with_fault t Store.Fault.heal_stall
+  let trigger_stall t = with_fault t Store.Fault.trigger_stall
 
   let disk_bytes_used t =
-    match t.fault with Some f -> Store.Fault.bytes_used f | None -> 0
+    match Node.fault t.node with Some f -> Store.Fault.bytes_used f | None -> 0
 
-  let resource_stats ?(repl_snapshots = 0) t =
-    let faults =
-      match t.fault with
-      | Some f -> Store.Fault.counters f
-      | None -> Store.Fault.empty_counters ()
-    in
-    let shed =
-      match t.delivery with
-      | Some d -> (Delivery.counters d).Delivery.records_shed
-      | None -> 0
-    in
-    {
-      Netsim.Stats.degraded_entries = degraded_entries t;
-      records_shed = t.acc_shed + shed;
-      enospc_hits = faults.Store.Fault.enospc_hits;
-      fsync_stall_ms_max = faults.Store.Fault.fsync_stall_ms_max;
-      repl_lag_snapshots = repl_snapshots;
-    }
-
-  let resource_counters ?repl_snapshots t =
-    Netsim.Stats.resource_named (resource_stats ?repl_snapshots t)
+  let resource_counters ?(repl_snapshots = 0) t =
+    let f = fault_counters t and n = Node.totals t.node in
+    [
+      ("degraded_entries", n.Node.degraded_entries);
+      ("records_shed", n.Node.delivery.Delivery.records_shed);
+      ("enospc_hits", f.Store.Fault.enospc_hits);
+      ("fsync_stall_ms_max", f.Store.Fault.fsync_stall_ms_max);
+      ("repl_lag_snapshots", repl_snapshots);
+    ]
 
   (* --- intrusion containment --- *)
 
   let sentinel t = t.sentinel
-  let preauth_backlog t = Queue.length t.preauth_q
 
-  let sentinel_stats t =
-    let base =
+  (* The pre-auth queue and the wire door are the driver's, so it
+     fills in their counts. *)
+  let sentinel_counters t =
+    let c =
       match t.sentinel with
-      | Some sn -> Sentinel.to_stats (Sentinel.counters sn)
-      | None -> Netsim.Stats.empty_sentinel
+      | Some sn -> Sentinel.counters sn
+      | None -> Sentinel.fresh_counters ()
     in
-    {
-      base with
-      Netsim.Stats.preauth_queue_dropped = t.preauth_dropped;
-      injections_blocked = t.injections_blocked;
-    }
-
-  let sentinel_counters t = Netsim.Stats.sentinel_named (sentinel_stats t)
+    Sentinel.named { c with Sentinel.preauth_queue_dropped = t.preauth_dropped }
+    @ [ ("injections_blocked", t.injections_blocked) ]
 end
 
 module Legacy = struct

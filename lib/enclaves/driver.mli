@@ -135,17 +135,16 @@ module Improved : sig
       [AuthKeyDist]/[AdminMsg] frames and garbage-collects half-open
       handshakes, and authenticated-but-keyless sessions are reset.
       The leader scan is an [until]-less periodic task, so runs with
-      [retry] should bound execution via {!run}[ ~until] or call
-      {!stop_retry} to let the queue drain. Without [retry] the driver
-      behaves exactly as before (single-shot sends).
+      [retry] should bound execution via {!run}[ ~until]. Without
+      [retry] the driver behaves exactly as before (single-shot
+      sends).
 
       With [recovery] set, the driver additionally journals the
       leader's trust-critical state, broadcasts periodic [View_digest]
       beacons, runs a member-side anti-entropy watchdog
       (probe-then-cold-reset on beacon silence), and supports
       {!crash_leader}/{!restart_leader}. Like the leader scan, these
-      are periodic tasks: bound runs with {!run}[ ~until] or
-      {!stop_retry}.
+      are periodic tasks: bound runs with {!run}[ ~until].
 
       With [recovery] set the journal also writes through a simulated
       disk ({!Store.Mem}); [storage_faults] additionally wraps the
@@ -201,27 +200,18 @@ module Improved : sig
 
   val recovery_counters : t -> (string * int) list
   (** {!recovery_stats} plus the derived totals
-      ([sessions_recovered], [divergences_detected], [resyncs_served])
-      as labelled counters. *)
-
-  val storage_stats : t -> Netsim.Stats.storage
-  (** What the storage-fault layer did to the journal so far:
-      injection counters from {!Store.Fault}, EIO retries absorbed by
-      the journal (summed across leader incarnations), and crash
-      images replayed. All zero when [storage_faults] was not given. *)
+      ([sessions_recovered] and [resyncs_served], summed across leader
+      incarnations, and the members' [divergences_detected]) as
+      labelled counters. *)
 
   val storage_counters : t -> (string * int) list
-  (** {!storage_stats} as labelled counters for
-      {!Netsim.Stats.pp_named}. *)
+  (** What the storage-fault layer did to the journal so far, as
+      labelled counters for {!Netsim.Stats.pp_named}: injection counts
+      from {!Store.Fault}, EIO retries absorbed by the journal (summed
+      across leader incarnations), and crash images replayed. All zero
+      when [storage_faults] was not given. *)
 
   (** {2 Resource pressure and the degraded-mode ladder} *)
-
-  val fault : t -> Store.Fault.t option
-  (** The seeded fault layer under the leader's storage, when
-      [storage_faults] was given — the harness's handle for turning
-      disk pressure on and off mid-run ({!Store.Fault.set_space_budget},
-      {!Store.Fault.heal_stall}). One instance outlives every leader
-      incarnation. *)
 
   val leader_mode : t -> Leader.mode
   (** The current leader incarnation's degraded-mode rung. A restarted
@@ -231,17 +221,15 @@ module Improved : sig
   val durability_armed : t -> bool
   (** {!Leader.durability_armed} of the current incarnation. *)
 
-  val degraded_entries : t -> int
-  (** Ladder rung entries, summed across leader incarnations. *)
-
   val rearms : t -> int
   (** Successful re-arms back to [Healthy], summed across leader
       incarnations. *)
 
   val set_space_budget : t -> int option -> unit
   (** Adjust the simulated disk's byte budget mid-run (no-op without
-      [storage_faults]). [None] lifts the pressure; the leader's next
-      scan tick then re-arms durability. *)
+      [storage_faults]; one {!Store.Fault} layer outlives every leader
+      incarnation). [None] lifts the pressure; the leader's next scan
+      tick then re-arms durability. *)
 
   val heal_stall : t -> unit
   (** Clear a persistent write stall (no-op without
@@ -255,27 +243,20 @@ module Improved : sig
   (** Bytes the fault layer currently accounts to the simulated disk
       (0 without [storage_faults]). *)
 
-  val resource_stats : ?repl_snapshots:int -> t -> Netsim.Stats.resource
-  (** Resource-pressure counters summed across leader incarnations:
-      ladder entries, records shed under byte budgets, ENOSPC refusals
-      and the worst fsync stall from the fault layer. The driver does
-      not own a replication source, so [repl_snapshots] (default 0)
-      lets the harness fill in {!Replication.Source.lag_snapshots}. *)
-
   val resource_counters : ?repl_snapshots:int -> t -> (string * int) list
-  (** {!resource_stats} as labelled counters for
-      {!Netsim.Stats.pp_named}. *)
+  (** Resource-pressure counters summed across leader incarnations,
+      labelled for {!Netsim.Stats.pp_named}: ladder entries
+      ([degraded_entries]), records shed under byte budgets, ENOSPC
+      refusals and the worst fsync stall from the fault layer. The
+      driver does not own a replication source, so [repl_snapshots]
+      (default 0) lets the harness fill in
+      {!Replication.Source.lag_snapshots}. *)
 
   val sessions_recovered : t -> int
   (** Sessions restored warm (challenge answered), summed across all
-      leader incarnations. *)
-
-  val resyncs_served : t -> int
-  (** Divergent views repaired by the leader, summed across
-      incarnations. *)
-
-  val divergences_detected : t -> int
-  (** Beacon mismatches observed by members (cumulative). *)
+      leader incarnations. Each incarnation's count is banked once,
+      when a restart replaces it: a crash leaves the sum unchanged, and
+      a crash-free restart does not lower it. *)
 
   val crash_leader : t -> unit
   (** Kill the leader: detach it from the network and drop every frame
@@ -297,9 +278,9 @@ module Improved : sig
       bytes still pin the epoch floor, and (unless
       [recovery_config.beacon_on_cold] is off) the new incarnation
       broadcasts authenticated [ColdRestart] beacons so members rejoin
-      without waiting out their watchdog. With no journal at all the
-      cold restart is the PR-2 baseline: a fresh automaton that knows
-      nothing. *)
+      without waiting out their watchdog.
+      @raise Invalid_argument when the driver was created without
+      [recovery]: there is no journal to restart from. *)
 
   val schedule_leader_crash :
     ?restart_after:Netsim.Vtime.t ->
@@ -324,11 +305,6 @@ module Improved : sig
       its epoch counter (and stamps its cold-restart beacons) at the
       vault's value, so losing the journal's last [Epoch_bump] record
       no longer yields a stale beacon. *)
-
-  val stop_retry : t -> unit
-  (** Cancel the leader scan, the digest broadcast, and all member
-      watchdogs so the event queue can drain; the protocol keeps
-      working, single-shot. *)
 
   val leave : t -> Types.agent -> unit
   val send_app : t -> Types.agent -> string -> unit
@@ -375,17 +351,12 @@ module Improved : sig
   (** The cluster's intrusion sentinel, when [intrusion] was given at
       {!create}. One instance outlives every leader incarnation. *)
 
-  val preauth_backlog : t -> int
-  (** Pre-auth handshake frames currently queued for service. *)
-
-  val sentinel_stats : t -> Netsim.Stats.sentinel
-  (** Sentinel counters with the driver's pre-auth queue tail-drop
-      count filled in. All zeros (except possibly queue drops) when
-      [intrusion] was not given. *)
-
   val sentinel_counters : t -> (string * int) list
-  (** {!sentinel_stats} as labelled counters for
-      {!Netsim.Stats.pp_named}. *)
+  (** {!Sentinel.named} counters, with the driver's pre-auth queue
+      tail drops ([preauth_queue_dropped]) and door drops
+      ([injections_blocked]) filled in, labelled for
+      {!Netsim.Stats.pp_named}. All zeros (except possibly those two)
+      when [intrusion] was not given. *)
 
   val start_periodic_rekey :
     t -> period:Netsim.Vtime.t -> ?until:Netsim.Vtime.t -> unit ->

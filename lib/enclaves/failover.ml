@@ -32,25 +32,25 @@ type manager = {
   name : Types.agent;
   idx : int;  (* position in the fixed succession *)
   disk : Store.Mem.t;  (* this manager's own simulated disk *)
-  vault : Store.Vault.t;
-  mutable leader : Leader.t;  (* replaced on promotion *)
-  mutable journal : Journal.t option;  (* Some iff primary (journalling) *)
+  node : Node.t;
+      (* The manager's leader process: serving (journalling, queueing)
+         iff primary. Its sentinel outlives promotion and demotion; the
+         primary's instance ships snapshots down the replication
+         stream, a promoting backup merges the replicated snapshot into
+         its own. *)
   mutable source : Replication.Source.t option;  (* Some iff primary *)
   mutable replica : Replication.Replica.t option;  (* Some iff backup *)
   mutable repl_last : Netsim.Vtime.t;
       (* last liveness-proving replication frame from the primary *)
-  mutable crashed : bool;
   mutable catching_up : bool;
       (* freshly demoted: not promotable until the new source's
          term-opening snapshot has landed in the replica *)
   watches : (Types.agent, mwatch) Hashtbl.t;
-  sentinel : Sentinel.t option;
-      (* This manager's intrusion sentinel. Owned by the manager, not
-         the leader automaton, so suspicion survives promotion and
-         demotion; the primary's instance ships snapshots down the
-         replication stream, a promoting backup merges the replicated
-         snapshot into its own. *)
 }
+
+let leader_of mgr = Node.leader mgr.node
+let crashed mgr = Node.down mgr.node
+let sentinel_of mgr = Leader.sentinel (leader_of mgr)
 
 type member_slot = {
   m_name : Types.agent;
@@ -69,8 +69,6 @@ type t = {
   sim : Netsim.Sim.t;
   net : Netsim.Network.t;
   config : config;
-  directory : (Types.agent * string) list;
-  delivery_policy : Delivery.policy option;
   repl_key : Key.t;
   counters : Replication.counters;
   managers : manager array;
@@ -109,7 +107,7 @@ let primary t =
   let best = ref None in
   Array.iter
     (fun mgr ->
-      if not mgr.crashed then
+      if not (crashed mgr) then
         match mgr.source with
         | Some s -> (
             let term = Replication.Source.term s in
@@ -124,7 +122,7 @@ let primary t =
       let n = Array.length t.managers in
       let rec first i =
         if i >= n then None
-        else if not t.managers.(i).crashed then Some t.managers.(i).name
+        else if not (crashed t.managers.(i)) then Some t.managers.(i).name
         else first (i + 1)
       in
       first 0
@@ -140,7 +138,7 @@ let succession_next t after =
     if k > n then None
     else
       let mgr = t.managers.((!idx + k) mod n) in
-      if not mgr.crashed then Some mgr.name else find (k + 1)
+      if not (crashed mgr) then Some mgr.name else find (k + 1)
   in
   find 1
 
@@ -179,10 +177,10 @@ let attach_member t slot =
    also go to the leader so its reject accounting stays authoritative. *)
 let attach_manager t mgr =
   Netsim.Network.register t.net mgr.name (fun bytes ->
-      if not mgr.crashed then begin
+      if not (crashed mgr) then begin
         let to_leader () =
           let via = Netsim.Network.delivering_via t.net in
-          let replies = Leader.receive mgr.leader ?via bytes in
+          let replies = Leader.receive (leader_of mgr) ?via bytes in
           send_frames t ~src:mgr.name replies
         in
         match F.decode bytes with
@@ -315,9 +313,9 @@ let start_failure_detector t slot =
 let start_heartbeat t mgr =
   let h =
     Netsim.Sim.every_handle t.sim ~period:t.config.heartbeat_period (fun () ->
-        if not mgr.crashed then
+        if not (crashed mgr) then
           send_frames t ~src:mgr.name
-            (Leader.broadcast_admin mgr.leader (Wire.Admin.Notice "hb")))
+            (Leader.broadcast_admin (leader_of mgr) (Wire.Admin.Notice "hb")))
   in
   t.handles <- h :: t.handles
 
@@ -342,14 +340,13 @@ let start_manager_scan t mgr =
   let gc_after = Int64.mul 2L t.config.failure_timeout in
   let h =
     Netsim.Sim.every_handle t.sim ~period:t.config.check_period (fun () ->
-        if not mgr.crashed then begin
+        if not (crashed mgr) then begin
           let now = Netsim.Sim.now t.sim in
           let outstanding =
-            List.map (fun who -> (who, Half_open)) (Leader.half_open mgr.leader)
-            @ List.map (fun who -> (who, Awaiting))
-                (Leader.awaiting_ack mgr.leader)
-            @ List.map (fun who -> (who, Recovering))
-                (Leader.recovering mgr.leader)
+            let l = leader_of mgr in
+            List.map (fun who -> (who, Half_open)) (Leader.half_open l)
+            @ List.map (fun who -> (who, Awaiting)) (Leader.awaiting_ack l)
+            @ List.map (fun who -> (who, Recovering)) (Leader.recovering l)
           in
           let live = List.map fst outstanding in
           Hashtbl.iter
@@ -358,7 +355,7 @@ let start_manager_scan t mgr =
             (Hashtbl.copy mgr.watches);
           List.iter
             (fun (who, kind) ->
-              match watch_nonce (Leader.session mgr.leader who) with
+              match watch_nonce (Leader.session (leader_of mgr) who) with
               | None -> Hashtbl.remove mgr.watches who
               | Some n -> (
                   match Hashtbl.find_opt mgr.watches who with
@@ -374,17 +371,17 @@ let start_manager_scan t mgr =
                            "in session". *)
                         (match kind with
                         | Half_open ->
-                            ignore (Leader.abort_half_open mgr.leader who)
+                            ignore (Leader.abort_half_open (leader_of mgr) who)
                         | Awaiting ->
                             send_frames t ~src:mgr.name
-                              (Leader.expel mgr.leader who)
+                              (Leader.expel (leader_of mgr) who)
                         | Recovering ->
-                            ignore (Leader.abort_recovery mgr.leader who));
+                            ignore (Leader.abort_recovery (leader_of mgr) who));
                         Hashtbl.remove mgr.watches who
                       end
                       else
                         send_frames t ~src:mgr.name
-                          (Leader.retransmit mgr.leader who)
+                          (Leader.retransmit (leader_of mgr) who)
                   | Some _ | None ->
                       Hashtbl.replace mgr.watches who
                         { w_nonce = n; first_seen = now }))
@@ -398,7 +395,7 @@ let start_manager_scan t mgr =
 let live_backups t mgr =
   Array.to_list t.managers
   |> List.filter_map (fun m ->
-         if m.name <> mgr.name && not m.crashed then Some m.name else None)
+         if m.name <> mgr.name && not (crashed m) then Some m.name else None)
 
 let make_replica ?(term = 0) t mgr ~primary_name =
   mgr.replica <-
@@ -426,32 +423,20 @@ let demote t mgr ~term ~primary_name =
   | Some s ->
       t.counters.demotions <- t.counters.demotions + 1;
       Replication.Source.detach s;
-      (match mgr.journal with
-      | Some j ->
-          let keep =
-            min (Replication.Source.acked_prefix s)
-              (String.length (Journal.contents j))
-          in
-          ignore
-            (Journal.recover ~disk:(Store.Mem.handle mgr.disk) ~file:"journal"
-               (String.sub (Journal.contents j) 0 keep))
-      | None -> ());
       mgr.source <- None;
-      mgr.journal <- None;
       (* Stop shipping suspicion: a demoted manager has no stream. *)
-      (match mgr.sentinel with
+      (match sentinel_of mgr with
       | Some sn -> Sentinel.set_ship sn (fun _ -> ())
       | None -> ());
-      mgr.leader <-
-        Leader.create ~self:mgr.name ~rng:(Netsim.Sim.rng t.sim)
-          ~directory:t.directory ~vault:mgr.vault ?sentinel:mgr.sentinel ();
+      Node.standby mgr.node
+        ~journal_prefix:(Replication.Source.acked_prefix s);
       make_replica t mgr ~primary_name ~term;
       mgr.catching_up <- true
 
-let make_source t mgr ~term ~journal =
+let make_source t mgr ~term =
+  let journal = Option.get (Node.journal mgr.node) in
   mgr.replica <- None;
   mgr.catching_up <- false;
-  mgr.journal <- Some journal;
   mgr.source <-
     Some
       (Replication.Source.create ~self:mgr.name ~backups:(live_backups t mgr)
@@ -467,7 +452,7 @@ let make_source t mgr ~term ~journal =
    current images once so the new term's stream covers backlogs that
    predate it. *)
 let wire_delivery _t mgr =
-  match (Leader.delivery mgr.leader, mgr.source) with
+  match (Leader.delivery (leader_of mgr), mgr.source) with
   | Some d, Some s ->
       Delivery.set_ship d
         (Some
@@ -483,7 +468,7 @@ let wire_delivery _t mgr =
    snapshot once so the new term's stream covers suspicion accrued
    before this manager started sourcing. *)
 let wire_sentinel _t mgr =
-  match (mgr.sentinel, mgr.source) with
+  match (sentinel_of mgr, mgr.source) with
   | Some sn, Some s ->
       Sentinel.set_ship sn (fun blob ->
           Replication.Source.ship_suspicion s blob);
@@ -494,7 +479,7 @@ let start_repl_heartbeat t mgr =
   let h =
     Netsim.Sim.every_handle t.sim ~period:t.config.repl_heartbeat_period
       (fun () ->
-        if not mgr.crashed then
+        if not (crashed mgr) then
           match mgr.source with
           | Some s -> Replication.Source.heartbeat s
           | None -> ())
@@ -519,11 +504,26 @@ let promote t mgr =
         promotion_term ~n:(Array.length t.managers) ~idx:mgr.idx
           ~seen:(Replication.Replica.term r)
       in
-      let backend = Store.Mem.handle mgr.disk in
-      let rng = Netsim.Sim.rng t.sim in
-      let journal, state, _status =
-        Journal.recover ~disk:backend ~file:"journal" bytes
+      (* Merge the replicated suspicion snapshot before the successor
+         serves anyone: levels ratchet, so a suspect the dead primary
+         quarantined stays quarantined — it cannot launder its record
+         by crashing the leader. The successor's first containment
+         sweep re-announces and re-rekeys, which is what a group under
+         new management should do anyway. *)
+      (match (sentinel_of mgr, Replication.Replica.suspicion r) with
+      | Some sn, Some blob -> ignore (Sentinel.import sn blob)
+      | _ -> ());
+      let sessions =
+        (Journal.state_of_records (fst (Journal.replay bytes))).Journal.sessions
       in
+      let warm = t.config.warm_failover && sessions <> [] in
+      if warm then
+        t.counters.warm_promotions <- t.counters.warm_promotions + 1
+      else
+        (* Distrust the replica's sessions: restart from an empty
+           journal, keeping only the epoch floor (journal belief plus
+           vault) for the beacons. *)
+        t.counters.cold_promotions <- t.counters.cold_promotions + 1;
       (* The replicated queue images carry the offline members' backlogs
          across the promotion: the successor's delivery layer is rebuilt
          from them (replay is total, torn images cost at most a damaged
@@ -531,53 +531,15 @@ let promote t mgr =
          queues hold plaintext payloads re-sealed at fire time, so they
          are safe to keep even on a cold promotion that distrusts the
          replica's sessions. *)
-      let delivery =
-        Option.map
-          (fun policy ->
-            Delivery.of_images ~policy ~disk:backend
-              (Replication.Replica.queue_images r))
-          t.delivery_policy
+      let restarted =
+        Node.restart ~journal:bytes
+          ~queues:(Replication.Replica.queue_images r)
+          ~warm mgr.node
       in
-      (* Merge the replicated suspicion snapshot before the successor
-         serves anyone: levels ratchet, so a suspect the dead primary
-         quarantined stays quarantined — it cannot launder its record
-         by crashing the leader. The successor's first containment
-         sweep re-announces and re-rekeys, which is what a group under
-         new management should do anyway. *)
-      (match (mgr.sentinel, Replication.Replica.suspicion r) with
-      | Some sn, Some blob -> ignore (Sentinel.import sn blob)
-      | _ -> ());
-      let warm =
-        t.config.warm_failover && state.Journal.sessions <> []
-      in
-      if warm then begin
-        t.counters.warm_promotions <- t.counters.warm_promotions + 1;
-        let leader', challenges =
-          Leader.recover ~self:mgr.name ~rng ~directory:t.directory ~journal
-            ~vault:mgr.vault ?delivery ?sentinel:mgr.sentinel ~state ()
-        in
-        mgr.leader <- leader';
-        make_source t mgr ~term ~journal;
-        wire_delivery t mgr;
-        wire_sentinel t mgr;
-        send_frames t ~src:mgr.name challenges
-      end
-      else begin
-        t.counters.cold_promotions <- t.counters.cold_promotions + 1;
-        (* Distrust the replica's sessions: restart from an empty
-           journal, keeping only the epoch floor (journal belief plus
-           vault) for the beacons. *)
-        let journal = Journal.create ~disk:backend ~file:"journal" () in
-        let leader', beacons =
-          Leader.cold_recover ~self:mgr.name ~rng ~directory:t.directory
-            ~journal ~vault:mgr.vault ?delivery ?sentinel:mgr.sentinel ~state ()
-        in
-        mgr.leader <- leader';
-        make_source t mgr ~term ~journal;
-        wire_delivery t mgr;
-        wire_sentinel t mgr;
-        send_frames t ~src:mgr.name beacons
-      end
+      make_source t mgr ~term;
+      wire_delivery t mgr;
+      wire_sentinel t mgr;
+      send_frames t ~src:mgr.name restarted.Node.frames
 
 (* Backup-side promotion watchdog. Silence thresholds are staggered by
    succession position — the first backup waits one failure timeout,
@@ -590,7 +552,7 @@ let start_promotion_watchdog t mgr =
   in
   let h =
     Netsim.Sim.every_handle t.sim ~period:t.config.check_period (fun () ->
-        if not mgr.crashed then
+        if not (crashed mgr) then
           match mgr.replica with
           | None -> ()
           | Some r ->
@@ -619,9 +581,10 @@ let create ?(seed = 77L) ?(config = default_config) ?delivery ?intrusion
   let rng = Netsim.Sim.rng sim in
   let counters = Replication.fresh_counters () in
   let repl_key = Key.fresh Key.Long_term rng in
+  (* Every manager starts standby — m0 included, so each one's leader
+     draws from [rng] in succession order before m0 starts serving. *)
   let mk_manager idx name =
     let disk = Store.Mem.create () in
-    let vault = Store.Vault.create ~disk:(Store.Mem.handle disk) () in
     let sentinel =
       Option.map
         (fun config ->
@@ -632,16 +595,14 @@ let create ?(seed = 77L) ?(config = default_config) ?delivery ?intrusion
       name;
       idx;
       disk;
-      vault;
-      leader = Leader.create ~self:name ~rng ~directory ~vault ?sentinel ();
-      journal = None;
+      node =
+        Node.create ~self:name ~rng ~directory ~disk ?delivery ?sentinel
+          ~standby:true ();
       source = None;
       replica = None;
       repl_last = Netsim.Vtime.zero;
-      crashed = false;
       catching_up = false;
       watches = Hashtbl.create 8;
-      sentinel;
     }
   in
   let managers = Array.of_list (List.mapi mk_manager managers) in
@@ -651,8 +612,6 @@ let create ?(seed = 77L) ?(config = default_config) ?delivery ?intrusion
       sim;
       net;
       config;
-      directory;
-      delivery_policy = delivery;
       repl_key;
       counters;
       managers;
@@ -670,21 +629,10 @@ let create ?(seed = 77L) ?(config = default_config) ?delivery ?intrusion
   (* The initial primary journals through its own disk and ships the
      stream; every other manager follows as a replica. *)
   let m0 = t.managers.(0) in
-  let journal =
-    Journal.create ~disk:(Store.Mem.handle m0.disk) ~file:"journal" ()
-  in
-  let delivery0 =
-    Option.map
-      (fun policy ->
-        Delivery.create ~policy ~disk:(Store.Mem.handle m0.disk) ())
-      t.delivery_policy
-  in
-  m0.leader <-
-    Leader.create ~self:m0.name ~rng ~directory ~journal ~vault:m0.vault
-      ?delivery:delivery0 ?sentinel:m0.sentinel ();
+  Node.serve m0.node;
   let n = Array.length t.managers in
   let term0 = term_of ~n ~generation:1 ~idx:0 in
-  make_source t m0 ~term:term0 ~journal;
+  make_source t m0 ~term:term0;
   wire_delivery t m0;
   wire_sentinel t m0;
   (* Backups start with the initial term as their stale floor, so
@@ -731,18 +679,13 @@ let member t who =
   | Some slot -> slot.automaton
   | None -> raise Not_found
 
-let leader t name =
-  let found = ref None in
-  Array.iter (fun mgr -> if mgr.name = name then found := Some mgr.leader) t.managers;
-  match !found with Some l -> l | None -> raise Not_found
-
 let send_app t who body =
   match Hashtbl.find_opt t.members who with
   | Some slot -> send_frames t ~src:who (Member.send_app slot.automaton body)
   | None -> raise Not_found
 
 let crash_manager t mgr =
-  mgr.crashed <- true;
+  Node.crash mgr.node;
   (match mgr.source with
   | Some s ->
       Replication.Source.detach s;
@@ -771,7 +714,7 @@ let connected_members t =
     (fun name slot acc ->
       let target_live =
         Array.exists
-          (fun mgr -> mgr.name = slot.target && not mgr.crashed)
+          (fun mgr -> mgr.name = slot.target && not (crashed mgr))
           t.managers
       in
       if Member.is_connected slot.automaton && target_live then name :: acc
@@ -793,9 +736,11 @@ let find_manager t name =
   Array.iter (fun mgr -> if mgr.name = name then found := Some mgr) t.managers;
   match !found with Some mgr -> mgr | None -> raise Not_found
 
+let leader t name = leader_of (find_manager t name)
+
 let role t name =
   let mgr = find_manager t name in
-  if mgr.crashed then Down
+  if crashed mgr then Down
   else
     match (mgr.source, mgr.replica) with
     | Some s, _ -> Primary { term = Replication.Source.term s }
@@ -816,7 +761,7 @@ let with_primary t f =
   | None -> ()
   | Some name ->
       let mgr = find_manager t name in
-      send_frames t ~src:mgr.name (f mgr.leader)
+      send_frames t ~src:mgr.name (f (leader_of mgr))
 
 let expel t who = with_primary t (fun l -> Leader.expel l who)
 let rekey t = with_primary t (fun l -> Leader.rekey l)
@@ -827,18 +772,18 @@ let replica_bytes t name =
   | None -> None
 
 let journal_bytes t name =
-  match (find_manager t name).journal with
-  | Some j -> Some (Journal.contents j)
-  | None -> None
+  Option.map Journal.contents (Node.journal (find_manager t name).node)
 
-let sentinel t name = (find_manager t name).sentinel
+let sentinel t name = sentinel_of (find_manager t name)
 
 let replica_suspicion t name =
   match (find_manager t name).replica with
   | Some r -> Replication.Replica.suspicion r
   | None -> None
 
-let replication_stats t = Replication.snapshot_counters t.counters
+(* A copy: the shared record keeps counting. *)
+let replication_stats t =
+  { t.counters with Replication.records_shipped = t.counters.records_shipped }
 
 (* The live primary's store-and-forward counters (fresh counters start
    with each promotion's rebuilt layer), plus the members' cumulative
@@ -848,8 +793,8 @@ let delivery_stats t =
   let base = ref None in
   Array.iter
     (fun mgr ->
-      if (not mgr.crashed) && mgr.source <> None then
-        match Leader.delivery mgr.leader with
+      if (not (crashed mgr)) && mgr.source <> None then
+        match Leader.delivery (leader_of mgr) with
         | Some d -> base := Some (Delivery.counters d)
         | None -> ())
     t.managers;
@@ -890,7 +835,7 @@ let replication_silence t =
   Array.to_list t.managers
   |> List.filter_map (fun mgr ->
          match mgr.replica with
-         | Some _ when not mgr.crashed ->
+         | Some _ when not (crashed mgr) ->
              Some (mgr.name, Int64.sub (Netsim.Sim.now t.sim) mgr.repl_last)
          | Some _ | None -> None)
 

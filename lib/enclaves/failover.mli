@@ -274,10 +274,10 @@ val failbacks : t -> int
 (** Members that returned to the preferred primary after riding out a
     partition on a successor. *)
 
-val replication_stats : t -> Netsim.Stats.replication
-(** The run's aggregated replication counters: records and snapshots
-    shipped, acks, gap fetches, rejected forged/replayed/stale frames,
-    and warm vs cold promotions. *)
+val replication_stats : t -> Replication.counters
+(** A copy of the run's aggregated replication counters: records and
+    snapshots shipped, acks, gap fetches, rejected forged/replayed/stale
+    frames, and warm vs cold promotions. *)
 
 val delivery_stats : t -> Netsim.Stats.delivery
 (** The live primary's store-and-forward counters (each promotion's

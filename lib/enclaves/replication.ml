@@ -70,22 +70,25 @@ let fresh_counters () =
     lag_snapshots = 0;
   }
 
-let snapshot_counters c : Netsim.Stats.replication =
-  {
-    records_shipped = c.records_shipped;
-    records_acked = c.records_acked;
-    snapshots_shipped = c.snapshots_shipped;
-    heartbeats_shipped = c.heartbeats_shipped;
-    gap_fetches = c.gap_fetches;
-    rejected_forged = c.rejected_forged;
-    rejected_replayed = c.rejected_replayed;
-    rejected_stale = c.rejected_stale;
-    stale_notices = c.stale_notices;
-    stale_sourcing_stopped = c.stale_sourcing_stopped;
-    demotions = c.demotions;
-    warm_promotions = c.warm_promotions;
-    cold_promotions = c.cold_promotions;
-  }
+(* A frozen copy for reports; the live record keeps counting. *)
+let copy_counters c = { c with records_shipped = c.records_shipped }
+
+let named c =
+  [
+    ("records_shipped", c.records_shipped);
+    ("records_acked", c.records_acked);
+    ("snapshots_shipped", c.snapshots_shipped);
+    ("heartbeats_shipped", c.heartbeats_shipped);
+    ("gap_fetches", c.gap_fetches);
+    ("rejected_forged", c.rejected_forged);
+    ("rejected_replayed", c.rejected_replayed);
+    ("rejected_stale", c.rejected_stale);
+    ("stale_notices", c.stale_notices);
+    ("stale_sourcing_stopped", c.stale_sourcing_stopped);
+    ("demotions", c.demotions);
+    ("warm_promotions", c.warm_promotions);
+    ("cold_promotions", c.cold_promotions);
+  ]
 
 module Source = struct
   type t = {
@@ -407,7 +410,7 @@ module Source = struct
             end
             else forged t)
 
-  let stats t = snapshot_counters t.counters
+  let stats t = copy_counters t.counters
 end
 
 module Replica = struct
@@ -685,5 +688,5 @@ module Replica = struct
                   end
             end)
 
-  let stats t = snapshot_counters t.counters
+  let stats t = copy_counters t.counters
 end

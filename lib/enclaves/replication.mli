@@ -56,19 +56,27 @@
     demotes a live primary. *)
 
 type counters = {
-  mutable records_shipped : int;
-  mutable records_acked : int;
+  mutable records_shipped : int;  (** Append frames the primary put on the wire. *)
+  mutable records_acked : int;  (** Ack frames the primary accepted. *)
   mutable snapshots_shipped : int;
+      (** Full-image frames (creation, compaction, catch-up). *)
   mutable heartbeats_shipped : int;
   mutable gap_fetches : int;
-  mutable rejected_forged : int;
-  mutable rejected_replayed : int;
-  mutable rejected_stale : int;
+      (** Backup-detected gaps that triggered a re-send request. *)
+  mutable rejected_forged : int;  (** Replication frames whose seal failed to open. *)
+  mutable rejected_replayed : int;  (** Duplicate or out-of-window sequence numbers. *)
+  mutable rejected_stale : int;  (** Frames from a superseded primary term. *)
   mutable stale_notices : int;
+      (** [Repl_stale] demotion signals sent back at a superseded
+          source's traffic. *)
   mutable stale_sourcing_stopped : int;
+      (** Times a source stopped shipping because an authentic frame
+          proved a strictly higher term exists. *)
   mutable demotions : int;
-  mutable warm_promotions : int;
-  mutable cold_promotions : int;
+      (** Sources that stood down and re-attached to the live source
+          as a catching-up replica. *)
+  mutable warm_promotions : int;  (** Backups promoted from a usable replica. *)
+  mutable cold_promotions : int;  (** Promotions that fell back to cold restart. *)
   mutable lag_snapshots : int;
       (** Full-image snapshots forced by the source's per-backup lag
           budget (not by journal compaction or term openings). *)
@@ -80,8 +88,10 @@ type counters = {
 
 val fresh_counters : unit -> counters
 
-val snapshot_counters : counters -> Netsim.Stats.replication
-(** Freeze into the immutable report record. *)
+val named : counters -> (string * int) list
+(** Labelled counters for {!Netsim.Stats.pp_named}, in declaration
+    order — all but [lag_snapshots], which the resource counters
+    report as [repl_lag_snapshots]. *)
 
 module Source : sig
   type t
@@ -180,7 +190,8 @@ module Source : sig
   (** Snapshot escalations forced by [lag_budget] so far (reads the
       shared counter). *)
 
-  val stats : t -> Netsim.Stats.replication
+  val stats : t -> counters
+  (** A copy of the shared counters. *)
 end
 
 module Replica : sig
@@ -243,5 +254,6 @@ module Replica : sig
 
   val file : t -> string
   val eio_retries : t -> int
-  val stats : t -> Netsim.Stats.replication
+  val stats : t -> counters
+  (** A copy of the shared counters. *)
 end

@@ -154,28 +154,27 @@ let fresh_counters () =
     attestations = 0;
   }
 
-let to_stats (c : counters) : Netsim.Stats.sentinel =
-  {
-    observations = c.observations;
-    rate_limits = c.rate_limits;
-    quarantines = c.quarantines;
-    expulsions = c.expulsions;
-    emergency_rekeys = c.emergency_rekeys;
-    quarantined_dropped = c.quarantined_dropped;
-    preauth_admitted = c.preauth_admitted;
-    preauth_throttled = c.preauth_throttled;
-    preauth_capped = c.preauth_capped;
-    preauth_queue_dropped = c.preauth_queue_dropped;
-    queues_purged = c.queues_purged;
-    suspicion_shipped = c.suspicion_shipped;
-    suspicion_imported = c.suspicion_imported;
-    wire_observations = c.wire_observations;
-    off_path_observations = c.off_path_observations;
-    framing_holds = c.framing_holds;
-    challenges_issued = c.challenges_issued;
-    attestations = c.attestations;
-    injections_blocked = 0;
-  }
+let named c =
+  [
+    ("observations", c.observations);
+    ("rate_limits", c.rate_limits);
+    ("quarantines", c.quarantines);
+    ("expulsions", c.expulsions);
+    ("emergency_rekeys", c.emergency_rekeys);
+    ("quarantined_dropped", c.quarantined_dropped);
+    ("preauth_admitted", c.preauth_admitted);
+    ("preauth_throttled", c.preauth_throttled);
+    ("preauth_capped", c.preauth_capped);
+    ("preauth_queue_dropped", c.preauth_queue_dropped);
+    ("queues_purged", c.queues_purged);
+    ("suspicion_shipped", c.suspicion_shipped);
+    ("suspicion_imported", c.suspicion_imported);
+    ("wire_observations", c.wire_observations);
+    ("off_path_observations", c.off_path_observations);
+    ("framing_holds", c.framing_holds);
+    ("challenges_issued", c.challenges_issued);
+    ("attestations", c.attestations);
+  ]
 
 type peer = {
   (* On-path evidence per class: frames that arrived over this peer's
@@ -447,9 +446,6 @@ let note_emergency_rekey t =
 
 let note_queue_purged t =
   t.counters.queues_purged <- t.counters.queues_purged + 1
-
-let note_queue_dropped t =
-  t.counters.preauth_queue_dropped <- t.counters.preauth_queue_dropped + 1
 
 let suspects t =
   Hashtbl.fold

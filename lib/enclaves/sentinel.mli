@@ -101,31 +101,53 @@ val wire_peer : string
     driver drops raw wire injections at the leader's door. *)
 
 type counters = {
-  mutable observations : int;
-  mutable rate_limits : int;
-  mutable quarantines : int;
-  mutable expulsions : int;
+  mutable observations : int;  (** Evidence events scored, all peers summed. *)
+  mutable rate_limits : int;  (** Escalations into [Rate_limited]. *)
+  mutable quarantines : int;  (** Escalations into [Quarantined]. *)
+  mutable expulsions : int;  (** Escalations into [Expelled]. *)
   mutable emergency_rekeys : int;
+      (** Group rekeys forced by containment, retiring the suspect's
+          key material group-wide. *)
   mutable quarantined_dropped : int;
-  mutable preauth_admitted : int;
-  mutable preauth_throttled : int;
-  mutable preauth_capped : int;
+      (** Inbound frames from quarantined peers dropped before
+          protocol processing. *)
+  mutable preauth_admitted : int;  (** Pre-auth frames passed to the handshake. *)
+  mutable preauth_throttled : int;  (** Pre-auth frames denied by token bucket. *)
+  mutable preauth_capped : int;  (** Pre-auth frames denied by the half-open cap. *)
   mutable preauth_queue_dropped : int;
+      (** Pre-auth frames lost to the bounded service queue's tail —
+          the overload signal when admission control is off. The queue
+          is the driver's: the sentinel leaves this at 0 and
+          [Driver.Improved.sentinel_counters] fills it in. *)
   mutable queues_purged : int;
-  mutable suspicion_shipped : int;
+      (** Quarantined members' delivery queues durably purged instead
+          of salvaged. *)
+  mutable suspicion_shipped : int;  (** Suspicion snapshots shipped to backups. *)
   mutable suspicion_imported : int;
+      (** Suspicion snapshots adopted by a promoted successor. *)
   mutable wire_observations : int;
+      (** Evidence events whose frame arrived [Via_wire] — charged at
+          full weight to the wire pseudo-peer, not the claimed name. *)
   mutable off_path_observations : int;
+      (** Evidence events charged to a claimed sender at the discounted
+          weight because the frame did not arrive over its socket. *)
   mutable framing_holds : int;
+      (** Times the corroboration gate clamped a raw quarantine-level
+          score back to [Rate_limited] because the evidence lacked an
+          on-path or two-class basis. *)
   mutable challenges_issued : int;
+      (** Liveness challenges the leader sent to corroboration-blocked
+          peers ("prove liveness under your session key"). *)
   mutable attestations : int;
+      (** Challenges answered by a live session-key ack, relieving the
+          answering peer's off-path score. *)
 }
 
 val fresh_counters : unit -> counters
 
-val to_stats : counters -> Netsim.Stats.sentinel
-(** [injections_blocked] is driver-side and reported as 0 here; the
-    driver overlays its own count. *)
+val named : counters -> (string * int) list
+(** Labelled counters for {!Netsim.Stats.pp_named}, in declaration
+    order. *)
 
 type t
 
@@ -226,9 +248,6 @@ val note_quarantined_drop : t -> ?via:Netsim.Trace.via -> string -> unit
 
 val note_emergency_rekey : t -> unit
 val note_queue_purged : t -> unit
-
-val note_queue_dropped : t -> unit
-(** A pre-auth frame lost to the bounded service queue's tail. *)
 
 val set_ship : t -> (string -> unit) -> unit
 (** Hook fired with {!export}'s blob on every level escalation; the

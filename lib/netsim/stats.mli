@@ -36,56 +36,6 @@ val by_label : decode_label:(string -> string option) -> Trace.t -> (string * in
 
 val pp : Format.formatter -> t -> unit
 
-type storage = {
-  torn_writes : int;  (** Writes where only a prefix silently landed. *)
-  short_writes : int;  (** Prefix landed and the write raised EIO. *)
-  dropped_fsyncs : int;  (** fsyncs silently skipped by injection. *)
-  eio_injected : int;  (** Transient EIOs raised with no effect. *)
-  eio_retries : int;  (** EIOs absorbed by the journal's retry loop. *)
-  crash_images_replayed : int;
-      (** Restarts that recovered from a captured durable crash image
-          rather than the live in-memory journal. *)
-}
-(** Storage-fault counters — what the seeded disk-fault layer did to
-    the leader's journal during a run. Computed by the driver (the
-    trace does not see disk operations), rendered with {!pp_named}
-    via {!storage_named}. *)
-
-val empty_storage : storage
-
-val storage_named : storage -> (string * int) list
-(** Labelled counters for {!pp_named}, in declaration order. *)
-
-type replication = {
-  records_shipped : int;  (** Append frames the primary put on the wire. *)
-  records_acked : int;  (** Ack frames the primary accepted. *)
-  snapshots_shipped : int;  (** Full-image frames (creation, compaction, catch-up). *)
-  heartbeats_shipped : int;
-  gap_fetches : int;  (** Backup-detected gaps that triggered a re-send request. *)
-  rejected_forged : int;  (** Replication frames whose seal failed to open. *)
-  rejected_replayed : int;  (** Duplicate or out-of-window sequence numbers. *)
-  rejected_stale : int;  (** Frames from a superseded primary term. *)
-  stale_notices : int;
-      (** [Repl_stale] demotion signals sent back at a superseded
-          source's traffic. *)
-  stale_sourcing_stopped : int;
-      (** Times a source stopped shipping because an authentic frame
-          proved a strictly higher term exists. *)
-  demotions : int;
-      (** Sources that stood down and re-attached to the live source
-          as a catching-up replica. *)
-  warm_promotions : int;  (** Backups promoted from a usable replica. *)
-  cold_promotions : int;  (** Promotions that fell back to cold restart. *)
-}
-(** Journal-replication counters — what the warm-standby channel did
-    during a run. Computed by the failover harness, rendered with
-    {!pp_named} via {!replication_named}. *)
-
-val empty_replication : replication
-
-val replication_named : replication -> (string * int) list
-(** Labelled counters for {!pp_named}, in declaration order. *)
-
 type delivery = {
   queued : int;  (** Records pushed into offline members' durable queues. *)
   drained : int;  (** Records handed to a reconnected member's channel. *)
@@ -107,81 +57,6 @@ type delivery = {
 val empty_delivery : delivery
 
 val delivery_named : delivery -> (string * int) list
-(** Labelled counters for {!pp_named}, in declaration order. *)
-
-type sentinel = {
-  observations : int;  (** Evidence events scored, all peers summed. *)
-  rate_limits : int;  (** Escalations into [Rate_limited]. *)
-  quarantines : int;  (** Escalations into [Quarantined]. *)
-  expulsions : int;  (** Escalations into [Expelled]. *)
-  emergency_rekeys : int;
-      (** Group rekeys forced by containment, retiring the suspect's
-          key material group-wide. *)
-  quarantined_dropped : int;
-      (** Inbound frames from quarantined peers dropped before
-          protocol processing. *)
-  preauth_admitted : int;  (** Pre-auth frames passed to the handshake. *)
-  preauth_throttled : int;  (** Pre-auth frames denied by token bucket. *)
-  preauth_capped : int;  (** Pre-auth frames denied by the half-open cap. *)
-  preauth_queue_dropped : int;
-      (** Pre-auth frames lost to the bounded service queue's tail —
-          the overload signal when admission control is off. *)
-  queues_purged : int;
-      (** Quarantined members' delivery queues durably purged instead
-          of salvaged. *)
-  suspicion_shipped : int;  (** Suspicion snapshots shipped to backups. *)
-  suspicion_imported : int;
-      (** Suspicion snapshots adopted by a promoted successor. *)
-  wire_observations : int;
-      (** Evidence events whose frame arrived [Via_wire] — charged at
-          full weight to the wire pseudo-peer, not the claimed name. *)
-  off_path_observations : int;
-      (** Evidence events charged to a claimed sender at the discounted
-          weight because the frame did not arrive over its socket. *)
-  framing_holds : int;
-      (** Times the corroboration gate clamped a raw quarantine-level
-          score back to [Rate_limited] because the evidence lacked an
-          on-path or two-class basis. *)
-  challenges_issued : int;
-      (** Liveness challenges the leader sent to corroboration-blocked
-          peers ("prove liveness under your session key"). *)
-  attestations : int;
-      (** Challenges answered by a live session-key ack, relieving the
-          answering peer's off-path score. *)
-  injections_blocked : int;
-      (** Wire-injected frames dropped at the leader's door after the
-          wire pseudo-peer itself reached quarantine. *)
-}
-(** Intrusion-containment counters — what the leader's sentinel did
-    during a run. Computed by the driver / intrude harness, rendered
-    with {!pp_named} via {!sentinel_named}. *)
-
-val empty_sentinel : sentinel
-
-val sentinel_named : sentinel -> (string * int) list
-(** Labelled counters for {!pp_named}, in declaration order. *)
-
-type resource = {
-  degraded_entries : int;
-      (** Times the leader stepped down a rung of the degraded-mode
-          ladder (any rung, counted per entry). *)
-  records_shed : int;
-      (** Delivery records dropped oldest-first by the byte budgets,
-          each covered by a durable [Drop] marker. *)
-  enospc_hits : int;  (** Writes refused by the seeded byte budget. *)
-  fsync_stall_ms_max : int;
-      (** Largest injected fsync-latency spike observed, ms. *)
-  repl_lag_snapshots : int;
-      (** Snapshot escalations forced by a backup exceeding its lag
-          budget, re-bounding the source's in-memory op buffer. *)
-}
-(** Resource-exhaustion counters — what the degraded-mode machinery
-    did during a run. Computed by the driver, rendered with
-    {!pp_named} via {!resource_named}. *)
-
-val empty_resource : resource
-
-val resource_named : resource -> (string * int) list
 (** Labelled counters for {!pp_named}, in declaration order. *)
 
 val pp_named : Format.formatter -> (string * int) list -> unit

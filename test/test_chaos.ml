@@ -295,7 +295,7 @@ let test_failover_partitioned_primary_no_split () =
       let stats = Failover.replication_stats t in
       Alcotest.(check int)
         (Printf.sprintf "one warm promotion (seed %Ld)" seed)
-        1 stats.Netsim.Stats.warm_promotions;
+        1 stats.Replication.warm_promotions;
       Alcotest.(check int)
         (Printf.sprintf "one demotion (seed %Ld)" seed)
         1 (Failover.demotions t);

@@ -62,7 +62,7 @@ let test_heartbeats_keep_sessions_alive () =
   Alcotest.(check int) "no spurious failovers" 0 (Failover.failovers t);
   let stats = Failover.replication_stats t in
   Alcotest.(check int) "no spurious promotions" 0
-    (stats.Netsim.Stats.warm_promotions + stats.Netsim.Stats.cold_promotions);
+    (stats.Replication.warm_promotions + stats.Replication.cold_promotions);
   Alcotest.(check (list string)) "everyone still in" [ "alice"; "bob"; "carol" ]
     (Failover.connected_members t)
 
@@ -83,7 +83,7 @@ let test_cold_primary_crash_failover () =
     directory;
   Alcotest.(check bool) "failovers counted" true (Failover.failovers t >= 3);
   let stats = Failover.replication_stats t in
-  Alcotest.(check int) "promotion was cold" 1 stats.Netsim.Stats.cold_promotions;
+  Alcotest.(check int) "promotion was cold" 1 stats.Replication.cold_promotions;
   (* The successor's group is coherent: all members share its view. *)
   let views =
     List.map (fun (n, _) -> Member.group_view (Failover.member t n)) directory
@@ -121,8 +121,8 @@ let test_warm_failover_retains_sessions () =
   Alcotest.(check int) "no member-driven failovers" 0 (Failover.failovers t);
   let stats = Failover.replication_stats t in
   Alcotest.(check int) "exactly one warm promotion" 1
-    stats.Netsim.Stats.warm_promotions;
-  Alcotest.(check int) "no cold promotion" 0 stats.Netsim.Stats.cold_promotions;
+    stats.Replication.warm_promotions;
+  Alcotest.(check int) "no cold promotion" 0 stats.Replication.cold_promotions;
   (* Session keys survive the handoff — the whole point of shipping the
      journal: members answered a RecoveryChallenge under their K_a. *)
   List.iter

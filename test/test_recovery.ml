@@ -380,6 +380,42 @@ let test_no_recovery_layer_unchanged () =
     0 (D.recovery_stats d).D.digests_broadcast;
   Alcotest.(check bool) "converged" true (D.converged d)
 
+let test_counters_banked_once () =
+  (* Each leader incarnation's counters are banked exactly once, when
+     a restart replaces it: a crash must not count the dead incarnation
+     a second time, and a crash-free restart must not forget the one it
+     replaced. *)
+  let d = make ~seed:5L () in
+  D.schedule_leader_crash d ~at:(Netsim.Vtime.of_s 2)
+    ~restart_after:(Netsim.Vtime.of_s 1) ();
+  ignore (D.run ~until:(Netsim.Vtime.of_s 15) d);
+  Alcotest.(check int) "every session recovered" n_members
+    (D.sessions_recovered d);
+  let sums () =
+    let c = D.recovery_counters d in
+    ( D.sessions_recovered d,
+      List.assoc "sessions_recovered" c,
+      List.assoc "resyncs_served" c )
+  in
+  let before = sums () in
+  D.crash_leader d;
+  Alcotest.(check (triple int int int)) "a crash changes no sum" before (sums ());
+  ignore (D.restart_leader d);
+  ignore (D.run ~until:(Netsim.Vtime.of_s 30) d);
+  let s0, c0, r0 = sums () in
+  ignore (D.restart_leader d);
+  let s1, c1, r1 = sums () in
+  Alcotest.(check bool) "a crash-free restart lowers no sum" true
+    (s1 >= s0 && c1 >= c0 && r1 >= r0)
+
+let test_restart_needs_recovery () =
+  (* Without [~recovery] there is no journal to come back from. *)
+  let d = D.create ~seed:5L ~leader:"leader" ~directory () in
+  D.crash_leader d;
+  match D.restart_leader d with
+  | _ -> Alcotest.fail "restarted a leader without a journal"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ( "recovery",
@@ -398,5 +434,7 @@ let suite =
           ("replayed beacon cannot reset a live session",
            test_replayed_beacon_does_not_reset_live_session);
           ("recovery off: PR-2 behaviour", test_no_recovery_layer_unchanged);
+          ("counters banked once per incarnation", test_counters_banked_once);
+          ("restart without recovery rejected", test_restart_needs_recovery);
         ] );
   ]

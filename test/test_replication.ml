@@ -103,7 +103,7 @@ let test_gap_detected_and_repaired () =
   check_converged ~msg:"heartbeat-driven catch-up" p;
   let stats = Replication.Replica.stats p.replica in
   Alcotest.(check bool) "gap fetches happened" true
-    (stats.Netsim.Stats.gap_fetches >= 1)
+    (stats.Replication.gap_fetches >= 1)
 
 let test_forged_key_rejected () =
   let p = make_pair () in
@@ -133,7 +133,7 @@ let test_forged_key_rejected () =
     (Replication.Replica.contents p.replica);
   let stats = Replication.Replica.stats p.replica in
   Alcotest.(check bool) "counted as forged" true
-    (stats.Netsim.Stats.rejected_forged >= 1);
+    (stats.Replication.rejected_forged >= 1);
   Alcotest.(check bool) "not liveness" false
     (Replication.Replica.take_activity p.replica)
 
@@ -162,7 +162,7 @@ let test_spliced_frame_rejected () =
     (Replication.Replica.contents b2);
   let stats = Replication.Replica.stats b2 in
   Alcotest.(check bool) "both counted as forged" true
-    (stats.Netsim.Stats.rejected_forged >= 2)
+    (stats.Replication.rejected_forged >= 2)
 
 let test_replayed_record_inert () =
   let p = make_pair () in
@@ -187,7 +187,7 @@ let test_replayed_record_inert () =
     (Replication.Replica.expected p.replica);
   let stats = Replication.Replica.stats p.replica in
   Alcotest.(check bool) "counted as replayed" true
-    (stats.Netsim.Stats.rejected_replayed >= 1);
+    (stats.Replication.rejected_replayed >= 1);
   Alcotest.(check bool) "replay is not liveness" false
     (Replication.Replica.take_activity p.replica)
 
@@ -211,7 +211,7 @@ let test_replayed_heartbeat_not_liveness () =
     (Replication.Replica.take_activity p.replica);
   let stats = Replication.Replica.stats p.replica in
   Alcotest.(check bool) "counted as replayed" true
-    (stats.Netsim.Stats.rejected_replayed >= 1)
+    (stats.Replication.rejected_replayed >= 1)
 
 let test_stale_term_rejected () =
   (* The replica adopts term 2 from a successor's stream; the dead
@@ -254,9 +254,9 @@ let test_stale_term_rejected () =
     (Replication.Replica.contents p.replica);
   let stats = Replication.Replica.stats p.replica in
   Alcotest.(check bool) "counted as stale" true
-    (stats.Netsim.Stats.rejected_stale >= 1);
+    (stats.Replication.rejected_stale >= 1);
   Alcotest.(check bool) "a notice was sent" true
-    (stats.Netsim.Stats.stale_notices >= 1);
+    (stats.Replication.stale_notices >= 1);
   Alcotest.(check bool) "stale term is not liveness" false
     (Replication.Replica.take_activity p.replica)
 
@@ -290,13 +290,13 @@ let test_stale_notice_demotes_source () =
     (Replication.Source.superseded p.source);
   let stats = Replication.Source.stats p.source in
   Alcotest.(check int) "sourcing stopped once" 1
-    stats.Netsim.Stats.stale_sourcing_stopped;
+    stats.Replication.stale_sourcing_stopped;
   (* Idempotent: a second delivery is a replay against a source that
      already stood down — counted, no second callback. *)
   Replication.Source.handle_frame p.source notice;
   let stats = Replication.Source.stats p.source in
   Alcotest.(check int) "no double demotion" 1
-    stats.Netsim.Stats.stale_sourcing_stopped
+    stats.Replication.stale_sourcing_stopped
 
 let test_forged_stale_notice_rejected () =
   (* A fabricated "you are stale" without K_r must never demote a live
@@ -318,7 +318,7 @@ let test_forged_stale_notice_rejected () =
     (Replication.Source.superseded p.source);
   let stats = Replication.Source.stats p.source in
   Alcotest.(check bool) "counted as forged" true
-    (stats.Netsim.Stats.rejected_forged >= 1);
+    (stats.Replication.rejected_forged >= 1);
   (* A genuinely sealed notice whose payload names another source is
      spliced, not ours to act on. *)
   let spliced =
@@ -354,7 +354,7 @@ let test_replayed_stale_notice_inert () =
     (Replication.Source.superseded p.source);
   let stats = Replication.Source.stats p.source in
   Alcotest.(check bool) "counted as replayed" true
-    (stats.Netsim.Stats.rejected_replayed >= 1);
+    (stats.Replication.rejected_replayed >= 1);
   (* And a degenerate one claiming a NON-higher superseding term is
      equally inert even with the right stale_term. *)
   let non_higher =
@@ -395,9 +395,9 @@ let test_peer_record_demotes_lower_term () =
     (Replication.Source.superseded new_s);
   let stats = Replication.Source.stats new_s in
   Alcotest.(check bool) "zombie traffic counted stale" true
-    (stats.Netsim.Stats.rejected_stale >= 1);
+    (stats.Replication.rejected_stale >= 1);
   Alcotest.(check bool) "demotion signals queued" true
-    (stats.Netsim.Stats.stale_notices >= 1);
+    (stats.Replication.stale_notices >= 1);
   (* ...and the notices (plus the live stream itself) demote it. *)
   Queue.iter
     (fun f ->
@@ -668,7 +668,7 @@ let test_warm_failover_under_loss () =
       let stats = Failover.replication_stats t in
       Alcotest.(check int)
         (Printf.sprintf "one warm promotion (seed %Ld)" seed)
-        1 stats.Netsim.Stats.warm_promotions;
+        1 stats.Replication.warm_promotions;
       let retained =
         List.length
           (List.filter

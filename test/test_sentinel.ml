@@ -186,9 +186,8 @@ let test_driver_quarantines_forging_insider () =
   let sn = Option.get (D.sentinel d) in
   Alcotest.(check bool) "forging insider contained" true
     (S.level_rank (S.level sn "mallory") >= S.level_rank S.Quarantined);
-  let stats = D.sentinel_stats d in
   Alcotest.(check bool) "containment forced an emergency rekey" true
-    (stats.Netsim.Stats.emergency_rekeys >= 1);
+    ((S.counters sn).S.emergency_rekeys >= 1);
   (* The group survives its insider: honest members still talk. *)
   D.send_app d "alice" "after the purge";
   ignore (D.run ~until:(Netsim.Vtime.of_s 12) d);
