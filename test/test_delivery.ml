@@ -358,6 +358,10 @@ let test_symbolic_delivery_model () =
   Alcotest.(check bool)
     "non-trivial state space" true
     (Symbolic.Delivery_model.state_count r > 1000);
+  Alcotest.(check int) "states at default bounds" 4910
+    (Symbolic.Delivery_model.state_count r);
+  Alcotest.(check int) "edges at default bounds" 19368
+    (Symbolic.Delivery_model.edge_count r);
   List.iter
     (fun rep ->
       Alcotest.(check bool)
