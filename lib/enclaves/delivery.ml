@@ -289,10 +289,15 @@ let drain t ~member ~current_epoch =
       in
       List.filter_map decide (Store.Queue.pending q)
 
+(* The [Ack] record lands after the last budget check, so it can leave
+   the image a few bytes over the member's bound. Folding the log brings
+   it back under: an ack removes pending records and adds none. *)
 let ack t ~member ~upto =
   match Hashtbl.find_opt t.queues member with
   | None -> ()
-  | Some q -> guarded t member (fun () -> Store.Queue.ack q ~upto)
+  | Some q ->
+      guarded t member (fun () -> Store.Queue.ack q ~upto);
+      if over_member t q then compact_if_bloated t member q
 
 let clear t ~member =
   match Hashtbl.find_opt t.queues member with
