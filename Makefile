@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis calibrate crash-matrix journal-fuzz doc ci clean
+.PHONY: all build test verify bench bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis calibrate crash-matrix journal-fuzz doc ci clean
 
 all: build
 
@@ -7,6 +7,13 @@ build:
 
 test:
 	dune runtest
+
+# Every bounded model checked exhaustively at its default bounds — the
+# §4 model, recovery, delivery, sentinel and the legacy attack finder.
+# Exits 1 if any report fails, any attack goes unfound, or the search
+# was truncated.
+verify:
+	dune exec bin/enclaves_cli.exe -- verify --legacy
 
 bench:
 	dune exec bench/main.exe
@@ -152,7 +159,7 @@ doc:
 	  echo "doc: odoc not installed, skipping"; \
 	fi
 
-ci: build test bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis crash-matrix journal-fuzz doc
+ci: build test verify bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis crash-matrix journal-fuzz doc
 
 clean:
 	dune clean

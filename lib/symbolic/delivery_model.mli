@@ -22,8 +22,8 @@
       fired and were deduped, an aged entry actually re-sealed, and
       both beyond-window policy arms actually ran.
 
-    Explored exhaustively (BFS over canonicalised states) within
-    {!default_bounds}; [make verify] gates CI on every report
+    Explored exhaustively (BFS over canonicalised states) within the
+    bounds given to {!explore}; [make verify] gates CI on every report
     holding. *)
 
 type bounds = {
@@ -31,11 +31,6 @@ type bounds = {
   max_epoch : int;  (** highest group epoch (initial epoch is 1) *)
   width : int;  (** epoch-window width of the re-seal policy *)
 }
-
-val default_bounds : bounds
-(** [{ max_seq = 2; max_epoch = 3; width = 1 }] — two queued
-    deliveries, two rekeys, window of one epoch: enough to age an
-    entry past the window and race a replay against a re-seal. *)
 
 type state
 (** Joint leader/member/intruder state: group epoch, member
@@ -47,20 +42,19 @@ type move
     policy arm, cumulative ack) or the intruder delivering a recorded
     frame. *)
 
-val pp_move : Format.formatter -> move -> unit
-
 type result
 (** The explored transition system. *)
 
 val explore : ?bounds:bounds -> unit -> result
-(** Exhaustive breadth-first exploration from the initial state. *)
+(** Exhaustive breadth-first exploration from the initial state. The
+    default bounds are [{ max_seq = 2; max_epoch = 3; width = 1 }] —
+    two queued deliveries, two rekeys, window of one epoch: enough to
+    age an entry past the window and race a replay against a
+    re-seal. *)
 
 val state_count : result -> int
 val edge_count : result -> int
 
-val reports : result -> Invariants.report list
+val reports : result -> Explore.report list
 (** The four obligations above, with counterexample traces (move
     sequences from the initial state) attached to any violation. *)
-
-val all : ?bounds:bounds -> unit -> Invariants.report list
-(** [all ()] = [reports (explore ())]. *)

@@ -45,9 +45,6 @@ val box_name : box -> string
 val classify : Model.state -> box option
 (** [None] for the one unreachable shape, (Connected, NotConnected). *)
 
-val successors_of : box -> box list
-(** Diagram successors, excluding the always-allowed self-loop. *)
-
 val box_invariant : Model.state -> box -> bool
 (** Does the state satisfy the box's predicate (trace conditions
     included)? *)

@@ -1,7 +1,8 @@
-(* Exploration engine: level-synchronized BFS with interned state ids,
-   a deduplicated compact edge store, an optional streaming mode that
-   does not retain the state set, and optional multicore frontier
-   expansion.
+(* Exploration engine: level-synchronized BFS over any bounded model,
+   with interned state ids, a deduplicated compact edge store, an
+   optional streaming mode that does not retain the state set, and
+   optional multicore frontier expansion. [Make] is the engine; this
+   module's own API is its instance over the §4 [Model].
 
    Determinism: states are discovered in exactly the order a FIFO-queue
    BFS would discover them (a level-synchronized sweep in frontier
@@ -28,284 +29,328 @@ module Vec = struct
   let to_array v = Array.sub v.data 0 v.len
 end
 
-type result = {
-  states : Model.state array;
-  index : (string, int) Hashtbl.t;
-  edges : (int * Model.move * int) array;
-  parents : (int * Model.move) option array;
-  truncated : bool;
-  frontier_dropped : int;
+type report = {
+  name : string;
+  holds : bool;
+  checked : int;
+  violations : string list;
 }
 
-type stream_stats = {
-  stream_states : int;
-  stream_edges : int;
-  stream_truncated : bool;
-  stream_dropped : int;
-}
+module type MODEL = sig
+  type config
+  type state
+  type move
 
-(* Parallel frontier expansion: compute successors (and their
-   canonical keys — Marshal is the expensive part) for every frontier
-   entry, into an index-aligned array so the caller sees them in
-   frontier order no matter how the work was scheduled.
-
-   The helper domains are spawned once per exploration and parked on a
-   condition variable between BFS levels — spawning per level costs
-   more than the levels themselves on this model's shallow frontiers.
-   Each level is described by a fresh [round] record; a straggler from
-   the previous level still holds the previous record, whose exhausted
-   counter sends it straight back to sleep, so it can never touch the
-   new level's arrays. Every [out] slot is written by exactly one
-   domain, and the SC read of [completed] publishes those writes to
-   the merge phase. *)
-module Pool = struct
-  type round = {
-    frontier : (int * Model.state) array;
-    out : (Model.move * Model.state * string) list array;
-    next : int Atomic.t;
-    completed : int Atomic.t;
-  }
-
-  type t = {
-    config : Model.config;
-    mutable current : round;
-    mutable generation : int;
-    mutable stop : bool;
-    m : Mutex.t;
-    wake : Condition.t;
-    mutable domains : unit Domain.t list;
-  }
-
-  let steal config r =
-    let n = Array.length r.frontier in
-    let rec go () =
-      let i = Atomic.fetch_and_add r.next 1 in
-      if i < n then begin
-        let _, q = r.frontier.(i) in
-        r.out.(i) <-
-          List.map
-            (fun (move, q') -> (move, q', Model.canon q'))
-            (Model.successors config q);
-        Atomic.incr r.completed;
-        go ()
-      end
-    in
-    go ()
-
-  let empty_round () =
-    { frontier = [||]; out = [||]; next = Atomic.make 0;
-      completed = Atomic.make 0 }
-
-  let create ~config ~helpers =
-    let t =
-      { config; current = empty_round (); generation = 0; stop = false;
-        m = Mutex.create (); wake = Condition.create (); domains = [] }
-    in
-    let worker () =
-      let my_gen = ref 0 in
-      let rec loop () =
-        Mutex.lock t.m;
-        while t.generation = !my_gen && not t.stop do
-          Condition.wait t.wake t.m
-        done;
-        my_gen := t.generation;
-        let r = t.current and stop = t.stop in
-        Mutex.unlock t.m;
-        if not stop then begin
-          steal config r;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    t.domains <- List.init helpers (fun _ -> Domain.spawn worker);
-    t
-
-  let run t frontier =
-    let n = Array.length frontier in
-    let r =
-      { frontier; out = Array.make n []; next = Atomic.make 0;
-        completed = Atomic.make 0 }
-    in
-    Mutex.lock t.m;
-    t.current <- r;
-    t.generation <- t.generation + 1;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.m;
-    steal t.config r;
-    while Atomic.get r.completed < n do
-      Domain.cpu_relax ()
-    done;
-    r.out
-
-  let shutdown t =
-    Mutex.lock t.m;
-    t.stop <- true;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.m;
-    List.iter Domain.join t.domains
+  val default_config : config
+  val initial : state
+  val successors : config -> state -> (move * state) list
+  val canon : state -> string
 end
 
-let expand ~config ~pool frontier =
-  match pool with
-  | Some pool -> Pool.run pool frontier
-  | None ->
-      let n = Array.length frontier in
-      let out = Array.make n [] in
-      for i = 0 to n - 1 do
-        let _, q = frontier.(i) in
-        out.(i) <-
-          List.map
-            (fun (move, q') -> (move, q', Model.canon q'))
-            (Model.successors config q)
-      done;
-      out
-
-(* The single BFS core behind [run] and [run_stream]. When [retain] is
-   false only the intern table (canon -> id) is kept — the states,
-   parents and edges are streamed through the callbacks and dropped.
-
-   Truncation accounting: when the [max_states] cap is hit, the edge
-   to the unstored destination is NOT recorded (the seed engine
-   recorded it, making [edge_count] disagree with what [iter_edges]
-   visits); instead each dropped successor occurrence is counted in
-   [frontier_dropped], and [truncated] is derived from that count once
-   at the end. Edges between two stored states are always recorded,
-   including after the cap. *)
-let bfs ~config ~max_states ~pool ~retain ~on_state ~on_edge =
-  let index = Hashtbl.create 4096 in
-  let states = Vec.create () in
-  let parents = Vec.create () in
-  let edges = Vec.create () in
-  let edge_cnt = ref 0 in
-  let dropped = ref 0 in
-  let init = Model.initial in
-  Hashtbl.add index (Model.canon init) 0;
-  if retain then begin
-    Vec.push states init;
-    Vec.push parents None
-  end;
-  on_state init;
-  let frontier = ref [| (0, init) |] in
-  while Array.length !frontier > 0 do
-    let succs = expand ~config ~pool !frontier in
-    let next = Vec.create () in
-    Array.iteri
-      (fun i (src_id, src_q) ->
-        (* A source is expanded exactly once, so per-source dedup of
-           (move, dst) is global dedup — no O(E) edge-seen table. The
-           successor lists are short (a handful of moves), so a linear
-           scan beats hashing the moves. *)
-        let seen = ref [] in
-        List.iter
-          (fun (move, q', key') ->
-            let dst_id =
-              match Hashtbl.find_opt index key' with
-              | Some id -> Some id
-              | None ->
-                  if Hashtbl.length index >= max_states then begin
-                    incr dropped;
-                    None
-                  end
-                  else begin
-                    let id = Hashtbl.length index in
-                    Hashtbl.add index key' id;
-                    if retain then begin
-                      Vec.push states q';
-                      Vec.push parents (Some (src_id, move))
-                    end;
-                    on_state q';
-                    Vec.push next (id, q');
-                    Some id
-                  end
-            in
-            match dst_id with
-            | None -> ()
-            | Some dst ->
-                if
-                  not
-                    (List.exists
-                       (fun (d, m) -> d = dst && m = move)
-                       !seen)
-                then begin
-                  seen := (dst, move) :: !seen;
-                  incr edge_cnt;
-                  if retain then Vec.push edges (src_id, move, dst);
-                  on_edge src_q move q'
-                end)
-          succs.(i))
-      !frontier;
-    frontier := Vec.to_array next
-  done;
-  ( Vec.to_array states,
-    index,
-    Vec.to_array edges,
-    Vec.to_array parents,
-    !dropped,
-    !edge_cnt )
-
-let no_state (_ : Model.state) = ()
-let no_edge (_ : Model.state) (_ : Model.move) (_ : Model.state) = ()
-
-(* One pool per exploration, torn down even if a callback raises. *)
-let with_pool ~config ~jobs f =
-  if jobs <= 1 then f None
-  else begin
-    let pool = Pool.create ~config ~helpers:(jobs - 1) in
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-        f (Some pool))
-  end
-
-let run ?(config = Model.default_config) ?(max_states = 200_000) ?(jobs = 1) ()
-    =
-  let states, index, edges, parents, dropped, _ =
-    with_pool ~config ~jobs (fun pool ->
-        bfs ~config ~max_states ~pool ~retain:true ~on_state:no_state
-          ~on_edge:no_edge)
-  in
-  { states; index; edges; parents; truncated = dropped > 0;
-    frontier_dropped = dropped }
-
-let run_stream ?(config = Model.default_config) ?(max_states = 200_000)
-    ?(jobs = 1) ?(on_state = no_state) ?(on_edge = no_edge) () =
-  let _, index, _, _, dropped, edge_cnt =
-    with_pool ~config ~jobs (fun pool ->
-        bfs ~config ~max_states ~pool ~retain:false ~on_state ~on_edge)
-  in
-  {
-    stream_states = Hashtbl.length index;
-    stream_edges = edge_cnt;
-    stream_truncated = dropped > 0;
-    stream_dropped = dropped;
+module Make (M : MODEL) = struct
+  type result = {
+    states : M.state array;
+    index : (string, int) Hashtbl.t;
+    edges : (int * M.move * int) array;
+    parents : (int * M.move) option array;
+    truncated : bool;
+    frontier_dropped : int;
   }
 
-let state_count r = Array.length r.states
-let edge_count r = Array.length r.edges
-let iter_states r f = Array.iter f r.states
+  type stream_stats = {
+    stream_states : int;
+    stream_edges : int;
+    stream_truncated : bool;
+    stream_dropped : int;
+  }
 
-let iter_edges r f =
-  Array.iter (fun (src, move, dst) -> f r.states.(src) move r.states.(dst))
-    r.edges
+  (* A source's successors with their canonical keys — Marshal is the
+     expensive part, so the pool computes these off the merge path. *)
+  let expand config q =
+    List.map (fun (move, q') -> (move, q', M.canon q')) (M.successors config q)
 
-let find_state r p =
-  let n = Array.length r.states in
-  let rec go i =
-    if i >= n then None
-    else if p r.states.(i) then Some r.states.(i)
-    else go (i + 1)
-  in
-  go 0
+  (* Parallel frontier expansion: [expand] every frontier entry, into
+     an index-aligned array so the caller sees them in frontier order
+     no matter how the work was scheduled.
 
-let path_to r q =
-  match Hashtbl.find_opt r.index (Model.canon q) with
-  | None -> []
-  | Some id ->
-      let rec build id acc =
-        match r.parents.(id) with
-        | None -> acc
-        | Some (parent, move) -> build parent ((move, r.states.(id)) :: acc)
+     The helper domains are spawned once per exploration and parked on
+     a condition variable between BFS levels — spawning per level costs
+     more than the levels themselves on this model's shallow frontiers.
+     Each level is described by a fresh [round] record; a straggler
+     from the previous level still holds the previous record, whose
+     exhausted counter sends it straight back to sleep, so it can
+     never touch the new level's arrays. Every [out] slot is written by
+     exactly one domain, and the SC read of [completed] publishes those
+     writes to the merge phase. *)
+  module Pool = struct
+    type round = {
+      frontier : (int * M.state) array;
+      out : (M.move * M.state * string) list array;
+      next : int Atomic.t;
+      completed : int Atomic.t;
+    }
+
+    type t = {
+      config : M.config;
+      mutable current : round;
+      mutable generation : int;
+      mutable stop : bool;
+      m : Mutex.t;
+      wake : Condition.t;
+      mutable domains : unit Domain.t list;
+    }
+
+    let steal config r =
+      let n = Array.length r.frontier in
+      let rec go () =
+        let i = Atomic.fetch_and_add r.next 1 in
+        if i < n then begin
+          r.out.(i) <- expand config (snd r.frontier.(i));
+          Atomic.incr r.completed;
+          go ()
+        end
       in
-      build id []
+      go ()
+
+    let empty_round () =
+      { frontier = [||]; out = [||]; next = Atomic.make 0;
+        completed = Atomic.make 0 }
+
+    let create ~config ~helpers =
+      let t =
+        { config; current = empty_round (); generation = 0; stop = false;
+          m = Mutex.create (); wake = Condition.create (); domains = [] }
+      in
+      let worker () =
+        let my_gen = ref 0 in
+        let rec loop () =
+          Mutex.lock t.m;
+          while t.generation = !my_gen && not t.stop do
+            Condition.wait t.wake t.m
+          done;
+          my_gen := t.generation;
+          let r = t.current and stop = t.stop in
+          Mutex.unlock t.m;
+          if not stop then begin
+            steal config r;
+            loop ()
+          end
+        in
+        loop ()
+      in
+      t.domains <- List.init helpers (fun _ -> Domain.spawn worker);
+      t
+
+    let run t frontier =
+      let n = Array.length frontier in
+      let r =
+        { frontier; out = Array.make n []; next = Atomic.make 0;
+          completed = Atomic.make 0 }
+      in
+      Mutex.lock t.m;
+      t.current <- r;
+      t.generation <- t.generation + 1;
+      Condition.broadcast t.wake;
+      Mutex.unlock t.m;
+      steal t.config r;
+      while Atomic.get r.completed < n do
+        Domain.cpu_relax ()
+      done;
+      r.out
+
+    let shutdown t =
+      Mutex.lock t.m;
+      t.stop <- true;
+      Condition.broadcast t.wake;
+      Mutex.unlock t.m;
+      List.iter Domain.join t.domains
+  end
+
+  (* The single BFS core behind [run] and [run_stream]. When [retain]
+     is false only the intern table (canon -> id) is kept — the states,
+     parents and edges are streamed through the callbacks and dropped.
+     Without a pool each source is expanded when the sweep reaches it,
+     so no level's successors are ever held at once.
+
+     Truncation accounting: when the [max_states] cap is hit, the edge
+     to the unstored destination is NOT recorded (the seed engine
+     recorded it, making [edge_count] disagree with what [iter_edges]
+     visits); instead each dropped successor occurrence is counted in
+     [frontier_dropped], and [truncated] is derived from that count
+     once at the end. Edges between two stored states are always
+     recorded, including after the cap. *)
+  let bfs ~config ~max_states ~pool ~retain ~on_state ~on_edge =
+    let index = Hashtbl.create 4096 in
+    let states = Vec.create () in
+    let parents = Vec.create () in
+    let edges = Vec.create () in
+    let edge_cnt = ref 0 in
+    let dropped = ref 0 in
+    let init = M.initial in
+    Hashtbl.add index (M.canon init) 0;
+    if retain then begin
+      Vec.push states init;
+      Vec.push parents None
+    end;
+    on_state init;
+    let merge next (src_id, src_q) succs =
+      (* A source is expanded exactly once, so per-source dedup of
+         (move, dst) is global dedup — no O(E) edge-seen table. The
+         successor lists are short (a handful of moves), so a linear
+         scan beats hashing the moves. *)
+      let seen = ref [] in
+      List.iter
+        (fun (move, q', key') ->
+          let dst_id =
+            match Hashtbl.find_opt index key' with
+            | Some id -> Some id
+            | None ->
+                if Hashtbl.length index >= max_states then begin
+                  incr dropped;
+                  None
+                end
+                else begin
+                  let id = Hashtbl.length index in
+                  Hashtbl.add index key' id;
+                  if retain then begin
+                    Vec.push states q';
+                    Vec.push parents (Some (src_id, move))
+                  end;
+                  on_state q';
+                  Vec.push next (id, q');
+                  Some id
+                end
+          in
+          match dst_id with
+          | None -> ()
+          | Some dst ->
+              if
+                not
+                  (List.exists (fun (d, m) -> d = dst && m = move) !seen)
+              then begin
+                seen := (dst, move) :: !seen;
+                incr edge_cnt;
+                if retain then Vec.push edges (src_id, move, dst);
+                on_edge src_q move q'
+              end)
+        succs
+    in
+    let frontier = ref [| (0, init) |] in
+    while Array.length !frontier > 0 do
+      let next = Vec.create () in
+      (match pool with
+      | Some pool ->
+          let succs = Pool.run pool !frontier in
+          Array.iteri (fun i src -> merge next src succs.(i)) !frontier
+      | None ->
+          Array.iter
+            (fun ((_, q) as src) -> merge next src (expand config q))
+            !frontier);
+      frontier := Vec.to_array next
+    done;
+    ( Vec.to_array states,
+      index,
+      Vec.to_array edges,
+      Vec.to_array parents,
+      !dropped,
+      !edge_cnt )
+
+  let no_state (_ : M.state) = ()
+  let no_edge (_ : M.state) (_ : M.move) (_ : M.state) = ()
+
+  (* One pool per exploration, torn down even if a callback raises. *)
+  let with_pool ~config ~jobs f =
+    if jobs <= 1 then f None
+    else begin
+      let pool = Pool.create ~config ~helpers:(jobs - 1) in
+      Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+          f (Some pool))
+    end
+
+  let run ?(config = M.default_config) ?(max_states = 200_000) ?(jobs = 1) ()
+      =
+    let states, index, edges, parents, dropped, _ =
+      with_pool ~config ~jobs (fun pool ->
+          bfs ~config ~max_states ~pool ~retain:true ~on_state:no_state
+            ~on_edge:no_edge)
+    in
+    { states; index; edges; parents; truncated = dropped > 0;
+      frontier_dropped = dropped }
+
+  let run_stream ?(config = M.default_config) ?(max_states = 200_000)
+      ?(jobs = 1) ?(on_state = no_state) ?(on_edge = no_edge) () =
+    let _, index, _, _, dropped, edge_cnt =
+      with_pool ~config ~jobs (fun pool ->
+          bfs ~config ~max_states ~pool ~retain:false ~on_state ~on_edge)
+    in
+    {
+      stream_states = Hashtbl.length index;
+      stream_edges = edge_cnt;
+      stream_truncated = dropped > 0;
+      stream_dropped = dropped;
+    }
+
+  let state_count r = Array.length r.states
+  let edge_count r = Array.length r.edges
+  let iter_states r f = Array.iter f r.states
+
+  let iter_edges r f =
+    Array.iter (fun (src, move, dst) -> f r.states.(src) move r.states.(dst))
+      r.edges
+
+  let find_state r p = Array.find_opt p r.states
+
+  let find_edge r p =
+    Array.find_map
+      (fun (src, move, dst) ->
+        let q = r.states.(src) and q' = r.states.(dst) in
+        if p q move q' then Some (q, move, q') else None)
+      r.edges
+
+  let path_of_id r id =
+    let rec build id acc =
+      match r.parents.(id) with
+      | None -> acc
+      | Some (parent, move) -> build parent ((move, r.states.(id)) :: acc)
+    in
+    build id []
+
+  let path_to r q =
+    match Hashtbl.find_opt r.index (M.canon q) with
+    | None -> []
+    | Some id -> path_of_id r id
+
+  (* Only the first [max_violations] failures are rendered as paths;
+     the rest are counted. [scan] calls its argument once per failure,
+     with a thunk for that failure's path. *)
+  let max_violations = 3
+
+  let report ~step ~name ~checked scan =
+    let n = ref 0 and violations = ref [] in
+    scan (fun path ->
+        incr n;
+        if !n <= max_violations then
+          let steps = List.map (fun (move, q) -> step move q) (path ()) in
+          violations := String.concat " ; " steps :: !violations);
+    { name; holds = !n = 0; checked; violations = List.rev !violations }
+
+  let state_report r ~step ~name p =
+    report ~step ~name ~checked:(Array.length r.states) (fun fail ->
+        Array.iteri
+          (fun id q -> if not (p q) then fail (fun () -> path_of_id r id))
+          r.states)
+
+  let edge_report r ~step ~name p =
+    report ~step ~name ~checked:(Array.length r.edges) (fun fail ->
+        Array.iter
+          (fun (src, move, dst) ->
+            let q' = r.states.(dst) in
+            if not (p r.states.(src) move q') then
+              fail (fun () -> path_of_id r src @ [ (move, q') ]))
+          r.edges)
+end
+
+include Make (Model)
 
 let pp_path fmt path =
   List.iter

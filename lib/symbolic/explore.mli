@@ -1,12 +1,16 @@
-(** Exhaustive bounded state exploration of the symbolic model.
+(** Exhaustive bounded state exploration — one engine for every
+    bounded model.
 
-    Level-synchronized breadth-first search from {!Model.initial} over
-    {!Model.successors}, deduplicating states by their canonical
-    serialization. Within the pool bounds of the configuration the
-    exploration is exhaustive: every reachable global state and every
-    transition is visited, so checking an invariant over the states
-    and an edge obligation over the edges discharges the corresponding
-    §5 proof obligation for the bounded instance.
+    {!Make} is a breadth-first search over any {!MODEL}, from its
+    initial state over its successor relation, deduplicating states by
+    their canonical serialization. Within the bounds of the
+    configuration the exploration is exhaustive: every reachable state
+    and every transition is visited, so checking an invariant over the
+    states and an edge obligation over the edges discharges the
+    corresponding proof obligation for the bounded instance. This
+    module's own API is [Make (Model)], the §4 model; {!Recovery},
+    {!Delivery_model}, {!Sentinel_model} and {!Legacy_model} are
+    instances too.
 
     Canonical keys are interned: each state gets a dense integer id in
     discovery order, states live in an array indexed by id, and edges
@@ -17,9 +21,10 @@
     {2 Parallelism and determinism}
 
     With [~jobs:n] (n > 1) the successor computation of each BFS level
-    is fanned out over [n] domains with a merge barrier per depth; the
-    merge that assigns ids and records edges is sequential and runs in
-    frontier order, so the result — state order, edge order, every
+    is fanned out over [n] domains with a merge barrier per depth;
+    without a pool each source is expanded when the search reaches it.
+    The merge that assigns ids and records edges is sequential and runs
+    in frontier order, so the result — state order, edge order, every
     count — is identical for every [jobs] value.
 
     {2 Truncation}
@@ -27,69 +32,121 @@
     When the [max_states] cap stops the search, edges leading to
     destinations that were not stored are {e not} recorded; they are
     counted in [frontier_dropped] instead, so [edge_count] always
-    equals the number of edges {!iter_edges} visits. [truncated] is
+    equals the number of edges [iter_edges] visits. [truncated] is
     [frontier_dropped > 0]. *)
 
-type result = {
-  states : Model.state array;  (** id -> state, in discovery order *)
-  index : (string, int) Hashtbl.t;  (** interned canon -> id *)
-  edges : (int * Model.move * int) array;
-      (** deduplicated [(src, move, dst)] id triples; both endpoints
-          are always stored states *)
-  parents : (int * Model.move) option array;
-      (** BFS tree: id -> (discovering predecessor, move); [None] for
-          the initial state *)
-  truncated : bool;  (** true iff [max_states] stopped the search *)
-  frontier_dropped : int;
-      (** successor occurrences not stored (and not recorded as
-          edges) because the cap was reached; 0 on exhaustive runs *)
+type report = {
+  name : string;
+  holds : bool;
+  checked : int;  (** States or edges examined. *)
+  violations : string list;  (** Pretty-printed counterexamples (capped). *)
 }
+(** The verdict of one proof obligation over an explored graph;
+    [holds = true] means it was verified in {e every} reachable state
+    (or over every transition, for per-edge obligations) of the
+    bounded instance. *)
 
-val run :
-  ?config:Model.config -> ?max_states:int -> ?jobs:int -> unit -> result
-(** [run ()] explores with {!Model.default_config} and a 200k-state
-    safety limit. [~jobs] (default 1) parallelizes successor
-    computation without changing any result. *)
+(** A bounded model: a finite transition system given by its initial
+    state and successor relation. [canon] must map two states to the
+    same string iff they are the same state. *)
+module type MODEL = sig
+  type config
+  type state
+  type move
+  val default_config : config
+  val initial : state
+  val successors : config -> state -> (move * state) list
+  val canon : state -> string
+end
 
-type stream_stats = {
-  stream_states : int;  (** states stored (= what [run] would store) *)
-  stream_edges : int;  (** deduplicated edges visited *)
-  stream_truncated : bool;
-  stream_dropped : int;
-}
+module Make (M : MODEL) : sig
+  type result = {
+    states : M.state array;  (** id -> state, in discovery order *)
+    index : (string, int) Hashtbl.t;  (** interned canon -> id *)
+    edges : (int * M.move * int) array;
+        (** deduplicated [(src, move, dst)] id triples; both endpoints
+            are always stored states *)
+    parents : (int * M.move) option array;
+        (** BFS tree: id -> (discovering predecessor, move); [None] for
+            the initial state *)
+    truncated : bool;  (** true iff [max_states] stopped the search *)
+    frontier_dropped : int;
+        (** successor occurrences not stored (and not recorded as
+            edges) because the cap was reached; 0 on exhaustive runs *)
+  }
 
-val run_stream :
-  ?config:Model.config ->
-  ?max_states:int ->
-  ?jobs:int ->
-  ?on_state:(Model.state -> unit) ->
-  ?on_edge:(Model.state -> Model.move -> Model.state -> unit) ->
-  unit ->
-  stream_stats
-(** Memory-compact exploration: same search as {!run}, but states,
-    parents and edges are handed to the callbacks and dropped instead
-    of retained — only the canonical-key intern table is kept for
-    deduplication. [on_state] fires once per stored state (including
-    the initial state), [on_edge] once per deduplicated edge, in the
-    same order {!iter_states} / {!iter_edges} would visit them.
-    Counterexample reconstruction ({!path_to}) needs a retained
-    {!run}. *)
+  val run :
+    ?config:M.config -> ?max_states:int -> ?jobs:int -> unit -> result
+  (** [run ()] explores with [M.default_config] and a 200k-state
+      safety limit. [~jobs] (default 1) parallelizes successor
+      computation without changing any result. *)
 
-val state_count : result -> int
-val edge_count : result -> int
+  type stream_stats = {
+    stream_states : int;  (** states stored (= what [run] would store) *)
+    stream_edges : int;  (** deduplicated edges visited *)
+    stream_truncated : bool;
+    stream_dropped : int;
+  }
 
-val iter_states : result -> (Model.state -> unit) -> unit
+  val run_stream :
+    ?config:M.config ->
+    ?max_states:int ->
+    ?jobs:int ->
+    ?on_state:(M.state -> unit) ->
+    ?on_edge:(M.state -> M.move -> M.state -> unit) ->
+    unit ->
+    stream_stats
+  (** Memory-compact exploration: same search as [run], but states,
+      parents and edges are handed to the callbacks and dropped instead
+      of retained — only the canonical-key intern table is kept for
+      deduplication. [on_state] fires once per stored state (including
+      the initial state), [on_edge] once per deduplicated edge, in the
+      same order [iter_states] / [iter_edges] would visit them.
+      Counterexample reconstruction ([path_to]) needs a retained
+      [run]. *)
 
-val iter_edges :
-  result -> (Model.state -> Model.move -> Model.state -> unit) -> unit
+  val state_count : result -> int
+  val edge_count : result -> int
+  val iter_states : result -> (M.state -> unit) -> unit
 
-val find_state : result -> (Model.state -> bool) -> Model.state option
-(** First match in discovery (BFS) order — deterministic. *)
+  val iter_edges :
+    result -> (M.state -> M.move -> M.state -> unit) -> unit
 
-val path_to : result -> Model.state -> (Model.move * Model.state) list
-(** [path_to r q] reconstructs a shortest path (BFS tree) from the
-    initial state to [q], as the list of (move, reached state) steps —
-    a concrete counterexample trace when [q] violates a property. *)
+  val find_state : result -> (M.state -> bool) -> M.state option
+  (** First match in discovery (BFS) order — deterministic. *)
+
+  val find_edge :
+    result ->
+    (M.state -> M.move -> M.state -> bool) ->
+    (M.state * M.move * M.state) option
+  (** First matching edge in discovery order. *)
+
+  val path_to : result -> M.state -> (M.move * M.state) list
+  (** [path_to r q] reconstructs a shortest path (BFS tree) from the
+      initial state to [q], as the list of (move, reached state) steps —
+      a concrete counterexample trace when [q] violates a property. *)
+
+  val state_report :
+    result ->
+    step:(M.move -> M.state -> string) ->
+    name:string ->
+    (M.state -> bool) ->
+    report
+  (** Check a predicate in every state. Each of the first three
+      violations is rendered as its path from the initial state, one
+      [step] per transition, joined by [" ; "]. *)
+
+  val edge_report :
+    result ->
+    step:(M.move -> M.state -> string) ->
+    name:string ->
+    (M.state -> M.move -> M.state -> bool) ->
+    report
+  (** Check a predicate on every edge; counterexamples as in
+      [state_report], each ending with the violating edge. *)
+end
+
+include module type of Make (Model)
 
 val pp_path :
   Format.formatter -> (Model.move * Model.state) list -> unit

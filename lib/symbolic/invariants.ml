@@ -1,6 +1,6 @@
 open Field
 
-type report = {
+type report = Explore.report = {
   name : string;
   holds : bool;
   checked : int;

@@ -5,7 +5,7 @@
     was verified in {e every} reachable state (or over every
     transition, for per-edge obligations) of the bounded instance. *)
 
-type report = {
+type report = Explore.report = {
   name : string;
   holds : bool;
   checked : int;  (** States or edges examined. *)

@@ -280,75 +280,24 @@ let successors bounds q =
   | _ -> ());
   !moves
 
-(* --- Exploration (self-contained BFS with parent tracking) ---
+(* --- exploration: an {!Explore.Make} instance, uncapped so that no
+   report can hold over a silently truncated graph --- *)
 
-   Same compact layout as {!Explore}: states interned to dense ids in
-   discovery order, edges as id triples — one canonical string per
-   state instead of string-keyed tables and a string cons-list. *)
+module E = Explore.Make (struct
+  type config = bounds
+  type nonrec state = state
+  type nonrec move = move
 
-type result = {
-  states : state array;
-  index : (string, int) Hashtbl.t;
-  parents : (int * move) option array;
-  edges : (int * move * int) array;
-}
+  let default_config = default_bounds
+  let initial = initial
+  let successors = successors
+  let canon = canon
+end)
 
-let explore ?(bounds = default_bounds) () =
-  let index = Hashtbl.create 1024 in
-  let states = ref [] and n_states = ref 0 in
-  let parents = ref [] in
-  let edges = ref [] and n_edges = ref 0 in
-  let queue = Queue.create () in
-  let intern q parent =
-    let id = !n_states in
-    Hashtbl.add index (canon q) id;
-    states := q :: !states;
-    parents := parent :: !parents;
-    incr n_states;
-    Queue.add (id, q) queue;
-    id
-  in
-  ignore (intern initial None);
-  while not (Queue.is_empty queue) do
-    let id, q = Queue.pop queue in
-    List.iter
-      (fun (move, q') ->
-        let id' =
-          match Hashtbl.find_opt index (canon q') with
-          | Some id' -> id'
-          | None -> intern q' (Some (id, move))
-        in
-        edges := (id, move, id') :: !edges;
-        incr n_edges)
-      (successors bounds q)
-  done;
-  let of_rev_list n l =
-    match l with
-    | [] -> [||]
-    | hd :: _ ->
-        let a = Array.make n hd in
-        List.iteri (fun i x -> a.(n - 1 - i) <- x) l;
-        a
-  in
-  {
-    states = of_rev_list !n_states !states;
-    index;
-    parents = of_rev_list !n_states !parents;
-    edges = of_rev_list !n_edges !edges;
-  }
+type result = E.result
 
-let state_count r = Array.length r.states
-
-let path_to r q =
-  match Hashtbl.find_opt r.index (canon q) with
-  | None -> []
-  | Some id ->
-      let rec build id acc =
-        match r.parents.(id) with
-        | None -> acc
-        | Some (parent, move) -> build parent ((move, r.states.(id)) :: acc)
-      in
-      build id []
+let explore ?bounds () = E.run ?config:bounds ~max_states:max_int ()
+let state_count = E.state_count
 
 let render_path path =
   List.map
@@ -356,15 +305,6 @@ let render_path path =
       Format.asprintf "%a  =>  mem=%a lead=%a epoch=%d" pp_move move
         pp_member_state q.mem pp_leader_state q.lead q.lead_epoch)
     path
-
-let find r p =
-  let n = Array.length r.states in
-  let rec go i =
-    if i >= n then None
-    else if p r.states.(i) then Some r.states.(i)
-    else go (i + 1)
-  in
-  go 0
 
 type finding = {
   weakness : string;
@@ -374,30 +314,18 @@ type finding = {
 }
 
 let reach_finding r ~weakness ~description p =
-  match find r p with
-  | Some q -> { weakness; description; violated = true; trace = render_path (path_to r q) }
+  match E.find_state r p with
+  | Some q -> { weakness; description; violated = true; trace = render_path (E.path_to r q) }
   | None -> { weakness; description; violated = false; trace = [] }
 
-(* First edge (in discovery order) whose endpoints satisfy [p]. *)
-let find_edge r p =
-  let n = Array.length r.edges in
-  let rec go i =
-    if i >= n then None
-    else
-      let ((src, move, dst) as e) = r.edges.(i) in
-      if p r.states.(src) move r.states.(dst) then Some e else go (i + 1)
-  in
-  go 0
-
 let edge_finding r ~weakness ~description p =
-  match find_edge r p with
-  | Some (src, move, dst) ->
-      let q_src = r.states.(src) and q_dst = r.states.(dst) in
+  match E.find_edge r p with
+  | Some (q_src, move, q_dst) ->
       {
         weakness;
         description;
         violated = true;
-        trace = render_path (path_to r q_src @ [ (move, q_dst) ]);
+        trace = render_path (E.path_to r q_src @ [ (move, q_dst) ]);
       }
   | None -> { weakness; description; violated = false; trace = [] }
 

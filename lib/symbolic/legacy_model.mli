@@ -57,9 +57,6 @@ type state = {
   next_nonce : int;
 }
 
-val pp_member_state : Format.formatter -> member_state -> unit
-val pp_leader_state : Format.formatter -> leader_state -> unit
-
 type result
 
 val explore : ?bounds:bounds -> unit -> result

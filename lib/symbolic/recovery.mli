@@ -36,7 +36,7 @@
     the divergent suffix that demotion discards and never touch [A]'s
     live session.
 
-    Obligations are returned as {!Invariants.report} values so the
+    Obligations are returned as {!Explore.report} values so the
     CLI's [verify] command prints and gates on them uniformly; a
     fourth report checks {e non-vacuity} (forgeries and replays were
     actually fired and rejected, and a genuine heal-path demotion is
@@ -44,23 +44,18 @@
 
 type bounds = { max_epoch : int; max_minted : int }
 
-val default_bounds : bounds
-(** 3 epochs, 3 mintable terms — a few thousand states, explored in
-    well under a second. *)
-
 type state
 type move
 type result
 
 val explore : ?bounds:bounds -> unit -> result
-(** Exhaustive BFS of the bounded instance. *)
+(** Exhaustive BFS of the bounded instance. The default bounds are 3
+    epochs and 3 mintable terms — a few thousand states, explored in
+    well under a second. *)
 
 val state_count : result -> int
 val edge_count : result -> int
 
-val reports : result -> Invariants.report list
+val reports : result -> Explore.report list
 (** The three obligations plus the non-vacuity check, in that order.
     Violations carry pretty-printed counterexample traces. *)
-
-val all : ?bounds:bounds -> unit -> Invariants.report list
-(** [explore] then [reports]. *)

@@ -35,7 +35,7 @@
 
    Scores are small integers with unit weights; decay is a global
    halving tick. The state space is exhaustively explored; obligations
-   are {!Invariants.report} values so the CLI's verify command gates
+   are {!Explore.report} values so the CLI's verify command gates
    on them uniformly. *)
 
 type bounds = {
@@ -213,133 +213,45 @@ let successors b q =
 
   !moves
 
-(* --- exploration: the same compact BFS as {!Recovery} --- *)
+(* --- exploration: an {!Explore.Make} instance, uncapped so that no
+   report can hold over a silently truncated graph --- *)
 
-type result = {
-  states : state array;
-  index : (string, int) Hashtbl.t;
-  parents : (int * move) option array;
-  edges : (int * move * int) array;
-}
+module E = Explore.Make (struct
+  type config = bounds
+  type nonrec state = state
+  type nonrec move = move
 
-let explore ?(bounds = default_bounds) () =
-  let index = Hashtbl.create 4096 in
-  let states = ref [] and n_states = ref 0 in
-  let parents = ref [] in
-  let edges = ref [] and n_edges = ref 0 in
-  let queue = Queue.create () in
-  let intern q parent =
-    let id = !n_states in
-    Hashtbl.add index (canon q) id;
-    states := q :: !states;
-    parents := parent :: !parents;
-    incr n_states;
-    Queue.add (id, q) queue;
-    id
-  in
-  ignore (intern initial None);
-  while not (Queue.is_empty queue) do
-    let id, q = Queue.pop queue in
-    List.iter
-      (fun (move, q') ->
-        let id' =
-          match Hashtbl.find_opt index (canon q') with
-          | Some id' -> id'
-          | None -> intern q' (Some (id, move))
-        in
-        edges := (id, move, id') :: !edges;
-        incr n_edges)
-      (successors bounds q)
-  done;
-  let of_rev_list n l =
-    match l with
-    | [] -> [||]
-    | hd :: _ ->
-        let a = Array.make n hd in
-        List.iteri (fun i x -> a.(n - 1 - i) <- x) l;
-        a
-  in
-  {
-    states = of_rev_list !n_states !states;
-    index;
-    parents = of_rev_list !n_states !parents;
-    edges = of_rev_list !n_edges !edges;
-  }
+  let default_config = default_bounds
+  let initial = initial
+  let successors = successors
+  let canon = canon
+end)
 
-let state_count r = Array.length r.states
-let edge_count r = Array.length r.edges
+type result = E.result
 
-let describe q =
+let explore ?bounds () = E.run ?config:bounds ~max_states:max_int ()
+let state_count = E.state_count
+let edge_count = E.edge_count
+
+let step move q =
   Format.asprintf
-    "V=(c0=%d off=%d lvl=%d chal=%b) M=(c0=%d c1=%d lvl=%d) W=(c0=%d lvl=%d) \
-     repl=%d"
-    q.v_c0 q.v_off q.v_level q.v_challenged q.m_c0 q.m_c1 q.m_level q.w_c0
-    q.w_level q.replica
-
-let path_to r id =
-  let rec build id acc =
-    match r.parents.(id) with
-    | None -> acc
-    | Some (parent, move) -> build parent ((move, r.states.(id)) :: acc)
-  in
-  build id []
-
-let render_path path =
-  String.concat " ; "
-    (List.map
-       (fun (move, q) -> Format.asprintf "%a => %s" pp_move move (describe q))
-       path)
-
-let max_violations = 3
-
-let state_report r ~name p =
-  let violations = ref [] and n = ref 0 in
-  Array.iteri
-    (fun id q ->
-      if not (p q) then begin
-        incr n;
-        if !n <= max_violations then
-          violations := render_path (path_to r id) :: !violations
-      end)
-    r.states;
-  {
-    Invariants.name;
-    holds = !n = 0;
-    checked = Array.length r.states;
-    violations = List.rev !violations;
-  }
-
-let edge_report r ~name p =
-  let violations = ref [] and n = ref 0 in
-  Array.iter
-    (fun (src, move, dst) ->
-      if not (p r.states.(src) move r.states.(dst)) then begin
-        incr n;
-        if !n <= max_violations then
-          violations :=
-            render_path (path_to r src @ [ (move, r.states.(dst)) ])
-            :: !violations
-      end)
-    r.edges;
-  {
-    Invariants.name;
-    holds = !n = 0;
-    checked = Array.length r.edges;
-    violations = List.rev !violations;
-  }
+    "%a => V=(c0=%d off=%d lvl=%d chal=%b) M=(c0=%d c1=%d lvl=%d) \
+     W=(c0=%d lvl=%d) repl=%d"
+    pp_move move q.v_c0 q.v_off q.v_level q.v_challenged q.m_c0 q.m_c1
+    q.m_level q.w_c0 q.w_level q.replica
 
 let reports ?(bounds = default_bounds) r =
   let b = bounds in
   (* The tentpole obligation: no schedule of framing, noise, decay and
      challenge traffic quarantines the honest responsive member. *)
   let victim_safe =
-    state_report r ~name:"honest responsive member never quarantined"
+    E.state_report r ~step ~name:"honest responsive member never quarantined"
       (fun q -> q.v_level < 2)
   in
   (* The ladder is one-way everywhere — including decay ticks,
      attestation relief and snapshot merges. *)
   let ratchet =
-    edge_report r ~name:"containment levels never ratchet down"
+    E.edge_report r ~step ~name:"containment levels never ratchet down"
       (fun q _m q' ->
         q'.v_level >= q.v_level
         && q'.m_level >= q.m_level
@@ -349,7 +261,7 @@ let reports ?(bounds = default_bounds) r =
   (* Every quarantine edge is backed by corroborated evidence in the
      post-state — the score that crossed is still on the books. *)
   let corroborated_quarantine =
-    edge_report r ~name:"quarantine requires corroborated evidence"
+    E.edge_report r ~step ~name:"quarantine requires corroborated evidence"
       (fun q _m q' ->
         (if q.v_level < 2 && q'.v_level >= 2 then
            corroborated b ~cls:[ q'.v_c0 ]
@@ -365,7 +277,7 @@ let reports ?(bounds = default_bounds) r =
   (* A merge never loses an escalation: the successor ends at or above
      both its own prior level and the imported snapshot. *)
   let merge_ratchet =
-    edge_report r ~name:"merge never loses an escalation" (fun q m q' ->
+    E.edge_report r ~step ~name:"merge never loses an escalation" (fun q m q' ->
         match m with
         | M_import ->
             q'.replica >= q.replica
@@ -377,9 +289,9 @@ let reports ?(bounds = default_bounds) r =
      insider and the wire really reach quarantine, and snapshots were
      merged. *)
   let surface =
-    let exists p = Array.exists p r.states in
+    let exists p = E.find_state r p <> None in
     {
-      Invariants.name = "attack surface exercised";
+      Explore.name = "attack surface exercised";
       holds =
         exists (fun q -> q.clamped)
         && exists (fun q -> q.attested)
@@ -387,12 +299,8 @@ let reports ?(bounds = default_bounds) r =
         && exists (fun q -> q.m_level >= 2)
         && exists (fun q -> q.w_level >= 2)
         && exists (fun q -> q.replica >= 2);
-      checked = Array.length r.states;
+      checked = state_count r;
       violations = [];
     }
   in
   [ victim_safe; ratchet; corroborated_quarantine; merge_ratchet; surface ]
-
-let all ?bounds () =
-  let r = explore ?bounds () in
-  reports ?bounds r

@@ -17,7 +17,7 @@
     quarantined, and replays shipped suspicion snapshots at a
     successor in any order.
 
-    Obligations, returned as {!Invariants.report} values so the CLI's
+    Obligations, returned as {!Explore.report} values so the CLI's
     [verify] command gates on them uniformly:
 
     - {b honest responsive member never quarantined}: no interleaving
@@ -49,23 +49,19 @@ type bounds = {
   cls_cap : int;  (** Per-class cap for the insider and the wire. *)
 }
 
-val default_bounds : bounds
-(** Thresholds 1/3/5, slips ≤ 2, scores ≤ 4–5 — tens of thousands of
-    states, explored in a few seconds. *)
-
 type state
 type move
 type result
 
 val explore : ?bounds:bounds -> unit -> result
-(** Exhaustive BFS of the bounded instance. *)
+(** Exhaustive BFS of the bounded instance. The default bounds are
+    thresholds 1/3/5, slips ≤ 2, scores ≤ 4–5 — tens of thousands of
+    states, explored in a few seconds. *)
 
 val state_count : result -> int
 val edge_count : result -> int
 
-val reports : ?bounds:bounds -> result -> Invariants.report list
-(** The four obligations plus the non-vacuity check, in that order.
-    Violations carry pretty-printed counterexample traces. *)
-
-val all : ?bounds:bounds -> unit -> Invariants.report list
-(** [explore] then [reports]. *)
+val reports : ?bounds:bounds -> result -> Explore.report list
+(** The four obligations plus the non-vacuity check, in that order,
+    judged at [bounds] (default: those of {!explore}). Violations carry
+    pretty-printed counterexample traces. *)
