@@ -1,52 +1,45 @@
 open Field
 
+(* [Set.add] returns its argument itself when the element is already
+   there, which tells a new field from a known one in one descent. *)
 let rec add_parts acc f =
-  if Set.mem f acc then acc
+  let acc' = Set.add f acc in
+  if acc' == acc then acc
   else
-    let acc = Set.add f acc in
     match f with
-    | FAgent _ | FNonce _ | FKey _ | FData _ -> acc
-    | FCat fs -> List.fold_left add_parts acc fs
-    | FCrypt (_, body) -> add_parts acc body
+    | FAgent _ | FNonce _ | FKey _ | FData _ -> acc'
+    | FCat fs -> List.fold_left add_parts acc' fs
+    | FCrypt (_, body) -> add_parts acc' body
 
 let parts s = Set.fold (fun f acc -> add_parts acc f) s Set.empty
 let parts_of_field f = add_parts Set.empty f
 
-let keys_of s =
-  Set.fold
-    (fun f acc -> match f with FKey k -> KeySet.add k acc | _ -> acc)
-    s KeySet.empty
-
-(* Analz: iterate splitting concatenations and opening decryptable
-   encryptions until no growth. *)
+(* Analz in one pass over a worklist: a concatenation is split when
+   it is learned, and an encryption is opened at once if its key is
+   known, or else waits under its key until that key is learned. *)
 let analz s =
-  let changed = ref true in
-  let current = ref s in
-  while !changed do
-    changed := false;
-    let keys = keys_of !current in
-    let step f acc =
-      match f with
-      | FCat fs ->
-          List.fold_left
-            (fun acc part ->
-              if Set.mem part acc then acc
-              else begin
-                changed := true;
-                Set.add part acc
-              end)
-            acc fs
-      | FCrypt (k, body) when KeySet.mem k keys ->
-          if Set.mem body acc then acc
-          else begin
-            changed := true;
-            Set.add body acc
-          end
-      | FAgent _ | FNonce _ | FKey _ | FData _ | FCrypt _ -> acc
-    in
-    current := Set.fold step !current !current
-  done;
-  !current
+  let known = ref s and waiting = ref [] in
+  let rec learn f =
+    let known' = Set.add f !known in
+    if known' != !known then begin
+      known := known';
+      open_ f
+    end
+  and open_ = function
+    | FCat fs -> List.iter learn fs
+    | FCrypt (k, body) ->
+        if Set.mem (FKey k) !known then learn body
+        else waiting := (k, body) :: !waiting
+    | FKey k ->
+        let ready, rest =
+          List.partition (fun (k', _) -> compare_key k k' = 0) !waiting
+        in
+        waiting := rest;
+        List.iter (fun (_, body) -> learn body) ready
+    | FAgent _ | FNonce _ | FData _ -> ()
+  in
+  Set.iter open_ s;
+  !known
 
 let rec in_synth s f =
   Set.mem f s

@@ -78,7 +78,9 @@ let initial =
     rejected = false;
   }
 
-let canon q = Marshal.to_string q []
+(* [No_sharing], so that the bytes depend on the value alone and not
+   on which of its parts happen to be physically shared. *)
+let canon q = Marshal.to_string q [ Marshal.No_sharing ]
 
 let record_frame q f =
   if List.mem f q.wire then q
@@ -202,7 +204,7 @@ let successors bounds q =
   List.iter
     (fun f ->
       match recv q f with
-      | Some q' when canon q' <> canon q -> add (M_deliver f) q'
+      | Some q' when q' <> q -> add (M_deliver f) q'
       | Some _ | None -> ())
     q.wire;
 

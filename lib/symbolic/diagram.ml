@@ -94,8 +94,7 @@ let closing q parts =
 
 (* --- Box invariants --- *)
 
-let box_invariant q box =
-  let parts = Model.trace_parts q in
+let box_invariant_in parts q box =
   match (box, q.Model.usr, q.Model.lead) with
   | Q1, Model.U_not_connected, Model.L_not_connected -> true
   | Q2, Model.U_waiting_for_key na, Model.L_not_connected ->
@@ -147,18 +146,9 @@ let box_invariant q box =
         acks_citing parts ka nl = []
   | _ -> false
 
+let box_invariant q box = box_invariant_in (Model.trace_parts q) q box
+
 (* --- Checks --- *)
-
-let max_violations = 5
-
-let make_report name checked violations =
-  {
-    Invariants.name;
-    holds = violations = [];
-    checked;
-    violations =
-      List.filteri (fun i _ -> i < max_violations) (List.rev violations);
-  }
 
 let describe q =
   Format.asprintf "usr=%a lead=%a" Model.pp_user_state q.Model.usr
@@ -166,12 +156,9 @@ let describe q =
 
 let no_edge (_ : Model.state) (_ : Model.move) (_ : Model.state) = ()
 
-let one result c =
-  match Invariants.check_result result c with
-  | [ r ] -> r
-  | _ -> assert false
-
-let coverage_stream () =
+(* [parts] gives each state's [Parts(trace)]; {!stream} shares one
+   per state between coverage and the intruder obligations. *)
+let coverage_stream parts =
   let checked = ref 0 and violations = ref [] in
   {
     Invariants.on_state =
@@ -182,17 +169,21 @@ let coverage_stream () =
             violations :=
               ("unreachable shape reached: " ^ describe q) :: !violations
         | Some box ->
-            if not (box_invariant q box) then
+            if not (box_invariant_in (parts q) q box) then
               violations :=
                 Format.asprintf "%s invariant fails at %s" (box_name box)
                   (describe q)
                 :: !violations);
     on_edge = no_edge;
     finish =
-      (fun () -> [ make_report "diagram coverage (5.3)" !checked !violations ]);
+      (fun () ->
+        [
+          Invariants.make_report "diagram coverage (5.3)" !checked !violations;
+        ]);
   }
 
-let check_coverage result = one result (coverage_stream ())
+let check_coverage result =
+  Invariants.one result (coverage_stream Model.trace_parts)
 
 let edges_stream () =
   let checked = ref 0 and violations = ref [] in
@@ -215,17 +206,18 @@ let edges_stream () =
                 :: !violations
         | _ -> violations := "edge touches unclassifiable state" :: !violations);
     finish =
-      (fun () -> [ make_report "diagram edges (5.3)" !checked !violations ]);
+      (fun () ->
+        [ Invariants.make_report "diagram edges (5.3)" !checked !violations ]);
   }
 
-let check_edges result = one result (edges_stream ())
+let check_edges result = Invariants.one result (edges_stream ())
 
 (* The paper's induction step for agents other than A and L: they can
    only replay protected fields, never mint new ones. For each state
    and each in-use session key, no ack/admin/close field under that
    key, other than those already in the trace, is synthesizable from
    the intruder's knowledge. *)
-let intruder_obligations_stream ?(config = Model.default_config) () =
+let intruder_obligations_stream ?(config = Model.default_config) parts =
   let checked = ref 0 and violations = ref [] in
   let nonce_pool =
     List.init config.Model.max_nonces (fun i -> i)
@@ -237,7 +229,7 @@ let intruder_obligations_stream ?(config = Model.default_config) () =
         match lead_key q with
         | None -> ()
         | Some ka ->
-            let parts = Model.trace_parts q in
+            let parts = parts q in
             let know =
               Field.Set.add
                 (FNonce Model.intruder_atom_base)
@@ -245,7 +237,9 @@ let intruder_obligations_stream ?(config = Model.default_config) () =
             in
             let check_field f =
               incr checked;
-              if (not (Field.Set.mem f parts)) && Closure.in_synth know f then
+              (* Synthesis fails for nearly every candidate, so it is
+                 tested first. *)
+              if Closure.in_synth know f && not (Field.Set.mem f parts) then
                 violations :=
                   Format.asprintf "intruder can mint %a at %s" Field.pp f
                     (describe q)
@@ -265,11 +259,14 @@ let intruder_obligations_stream ?(config = Model.default_config) () =
     on_edge = no_edge;
     finish =
       (fun () ->
-        [ make_report "intruder cannot mint (5.3)" !checked !violations ]);
+        [
+          Invariants.make_report "intruder cannot mint (5.3)" !checked
+            !violations;
+        ]);
   }
 
 let check_intruder_obligations ?config result =
-  one result (intruder_obligations_stream ?config ())
+  Invariants.one result (intruder_obligations_stream ?config Model.trace_parts)
 
 let visit_counts result =
   let counts = Hashtbl.create 16 in
@@ -283,11 +280,12 @@ let visit_counts result =
   List.map (fun b -> (box_name b, Hashtbl.find counts (box_name b))) all_boxes
 
 let stream ?config () =
+  let parts = Invariants.per_state Model.trace_parts in
   Invariants.combine
     [
-      coverage_stream ();
+      coverage_stream parts;
       edges_stream ();
-      intruder_obligations_stream ?config ();
+      intruder_obligations_stream ?config parts;
     ]
 
 let all ?config result = Invariants.check_result result (stream ?config ())

@@ -36,6 +36,8 @@ type t =
   | Oops of Field.t
 
 val compare : t -> t -> int
+(** The order of [Stdlib.compare], computed without it. *)
+
 val equal : t -> t -> bool
 val pp_label : Format.formatter -> label -> unit
 val pp : Format.formatter -> t -> unit
@@ -47,3 +49,7 @@ module Set : Stdlib.Set.S with type elt = t
 
 val contents : Set.t -> Field.Set.t
 (** All contents of a trace — the paper's [trace(q)] underlined. *)
+
+val encode_set : Buffer.t -> Set.t -> unit
+(** Append a prefix-free encoding of a trace, its events in set order:
+    two traces have the same encoding iff they hold the same events. *)

@@ -64,8 +64,8 @@ module Make (M : MODEL) = struct
     stream_dropped : int;
   }
 
-  (* A source's successors with their canonical keys — Marshal is the
-     expensive part, so the pool computes these off the merge path. *)
+  (* A source's successors with their canonical keys, the costly part
+     of a step, so the pool computes them off the sequential merge. *)
   let expand config q =
     List.map (fun (move, q') -> (move, q', M.canon q')) (M.successors config q)
 

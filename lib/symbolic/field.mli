@@ -32,8 +32,21 @@ type t =
   | FCrypt of key * t  (** [{body}_k]. *)
 
 val compare : t -> t -> int
+(** The order of [Stdlib.compare], computed without it. *)
+
 val equal : t -> t -> bool
 val compare_key : key -> key -> int
+
+val encode_int : Buffer.t -> int -> unit
+(** Append a prefix-free encoding of an int (LEB128 over its 63
+    bits). *)
+
+val encode : Buffer.t -> t -> unit
+(** Append a prefix-free encoding of a field: two fields have the same
+    encoding iff they are equal, and no encoding is a proper prefix of
+    another, so encodings can be concatenated into canonical state
+    keys. *)
+
 val pp_agent : Format.formatter -> agent -> unit
 val pp_key : Format.formatter -> key -> unit
 val pp : Format.formatter -> t -> unit
@@ -42,4 +55,3 @@ val cat : t list -> t
 (** Smart constructor. @raise Invalid_argument on fewer than 2 parts. *)
 
 module Set : Stdlib.Set.S with type elt = t
-module KeySet : Stdlib.Set.S with type elt = key

@@ -50,9 +50,21 @@ let check_result result c =
   Explore.iter_edges result c.on_edge;
   c.finish ()
 
-(* Run a single-report checker over a retained result. *)
 let one result c =
   match check_result result c with [ r ] -> r | _ -> assert false
+
+(* The checkers of one stream see each state in turn, so remembering
+   the last state is enough to compute [f] once per state for all of
+   them. States are immutable, so physical identity is a sound key. *)
+let per_state f =
+  let last = ref None in
+  fun q ->
+    match !last with
+    | Some (q', v) when q' == q -> v
+    | Some _ | None ->
+        let v = f q in
+        last := Some (q, v);
+        v
 
 (* A checker built from a per-state predicate-style body. *)
 let state_checker name f =
@@ -94,22 +106,22 @@ let regularity_stream () =
 
 let regularity result = one result (regularity_stream ())
 
-let long_term_key_secrecy_stream ?config () =
+let long_term_key_secrecy_stream know =
   state_checker "P_a secrecy (5.1)" (fun checked violations q ->
       incr checked;
-      if Field.Set.mem (FKey Pa) (Model.intruder_knowledge ?config q) then
+      if Field.Set.mem (FKey Pa) (know q) then
         violations := describe_state q :: !violations)
 
 let long_term_key_secrecy ?config result =
-  one result (long_term_key_secrecy_stream ?config ())
+  one result (long_term_key_secrecy_stream (Model.intruder_knowledge ?config))
 
 let session_keys_mentioned q =
   (* All session-key indices allocated so far. *)
   List.init q.Model.next_key (fun k -> k)
 
-let session_key_secrecy_stream ?config () =
+let session_key_secrecy_stream know =
   state_checker "session-key secrecy (5.2)" (fun checked violations q ->
-      let know = lazy (Model.intruder_knowledge ?config q) in
+      let know = lazy (know q) in
       List.iter
         (fun k ->
           if Model.in_use q k then begin
@@ -123,7 +135,7 @@ let session_key_secrecy_stream ?config () =
         (session_keys_mentioned q))
 
 let session_key_secrecy ?config result =
-  one result (session_key_secrecy_stream ?config ())
+  one result (session_key_secrecy_stream (Model.intruder_knowledge ?config))
 
 let coideal_invariant_stream () =
   state_checker "coideal invariant (5.2.5)" (fun checked violations q ->
@@ -143,17 +155,13 @@ let coideal_invariant_stream () =
 
 let coideal_invariant result = one result (coideal_invariant_stream ())
 
-let oops_keys_are_public_stream ?config () =
+let oops_keys_are_public_stream know =
   state_checker "oops keys public (4.1)" (fun checked violations q ->
       Event.Set.iter
         (function
           | Event.Oops (FKey (Ka k)) ->
               incr checked;
-              if
-                not
-                  (Field.Set.mem (FKey (Ka k))
-                     (Model.intruder_knowledge ?config q))
-              then
+              if not (Field.Set.mem (FKey (Ka k)) (know q)) then
                 violations :=
                   Format.asprintf "oopsed Ka%d not in Know(E): %s" k
                     (describe_state q)
@@ -162,16 +170,18 @@ let oops_keys_are_public_stream ?config () =
         q.Model.trace)
 
 let oops_keys_are_public ?config result =
-  one result (oops_keys_are_public_stream ?config ())
+  one result
+    (oops_keys_are_public_stream (per_state (Model.intruder_knowledge ?config)))
 
 let stream ?config () =
+  let know = per_state (Model.intruder_knowledge ?config) in
   combine
     [
       regularity_stream ();
-      long_term_key_secrecy_stream ?config ();
-      session_key_secrecy_stream ?config ();
+      long_term_key_secrecy_stream know;
+      session_key_secrecy_stream know;
       coideal_invariant_stream ();
-      oops_keys_are_public_stream ?config ();
+      oops_keys_are_public_stream know;
     ]
 
 let all ?config result = check_result result (stream ?config ())

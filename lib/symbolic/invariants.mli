@@ -33,6 +33,20 @@ val check_result : Explore.result -> checker -> report list
 (** Drive a checker over a retained exploration: all states first,
     then all edges, then [finish]. *)
 
+val one : Explore.result -> checker -> report
+(** [check_result] for a checker that makes exactly one report. *)
+
+val make_report : string -> int -> string list -> report
+(** [make_report name checked violations] — violations are given
+    newest first, as checkers accumulate them; the report keeps the
+    first five in the order they were found. *)
+
+val per_state : (Model.state -> 'a) -> Model.state -> 'a
+(** [per_state f] computes [f] once per state for every checker that
+    shares it: it remembers the last state it saw, which is enough
+    because a stream hands each state to all of its checkers in
+    turn. *)
+
 val stream : ?config:Model.config -> unit -> checker
 (** Streaming form of {!all}: the five §5.1/§5.2 secrecy checks. *)
 

@@ -52,10 +52,29 @@ let initial =
     next_nonce = 0;
   }
 
+(* A prefix-free key, built as {!Model.canon} builds one. *)
 let canon q =
-  Marshal.to_string
-    (q.mem, q.lead, q.lead_epoch, Event.Set.elements q.trace, q.next_nonce)
-    []
+  let b = Buffer.create 128 in
+  let int = Field.encode_int b in
+  let tagged tag ints =
+    Buffer.add_uint8 b tag;
+    List.iter int ints
+  in
+  (match q.mem with
+  | M_not_connected -> tagged 0 []
+  | M_waiting_ack -> tagged 1 []
+  | M_waiting_auth2 n -> tagged 2 [ n ]
+  | M_connected { epoch; sees_b } -> tagged (if sees_b then 4 else 3) [ epoch ]
+  | M_denied -> tagged 5 []);
+  (match q.lead with
+  | L_idle -> tagged 0 []
+  | L_waiting_auth1 -> tagged 1 []
+  | L_waiting_auth3 n -> tagged 2 [ n ]
+  | L_in_session -> tagged 3 []);
+  int q.lead_epoch;
+  Event.encode_set b q.trace;
+  int q.next_nonce;
+  Buffer.contents b
 
 type move =
   | A_join

@@ -103,17 +103,38 @@ let initial =
     i_keys = 0;
   }
 
+(* The state's identity as a prefix-free byte string: a tag fixes how
+   many ints follow it and every list is written after its length, so
+   equal keys mean equal states. The trace is written as its sorted
+   events, whatever the shape of its set tree. A fresh buffer per
+   call: [canon] runs on the pool's domains. *)
 let canon q =
-  Marshal.to_string
-    ( q.usr,
-      q.lead,
-      Event.Set.elements q.trace,
-      q.snd,
-      q.rcv,
-      q.joins,
-      q.accepts,
-      (q.next_nonce, q.next_key, q.next_data, q.i_nonces, q.i_keys) )
-    []
+  let b = Buffer.create 256 in
+  let int = Field.encode_int b in
+  let tagged tag ints =
+    Buffer.add_uint8 b tag;
+    List.iter int ints
+  in
+  let list l =
+    int (List.length l);
+    List.iter int l
+  in
+  (match q.usr with
+  | U_not_connected -> tagged 0 []
+  | U_waiting_for_key n -> tagged 1 [ n ]
+  | U_connected (n, k) -> tagged 2 [ n; k ]);
+  (match q.lead with
+  | L_not_connected -> tagged 0 []
+  | L_waiting_for_key_ack (n, k) -> tagged 1 [ n; k ]
+  | L_connected (n, k) -> tagged 2 [ n; k ]
+  | L_waiting_for_ack (n, k) -> tagged 3 [ n; k ]);
+  Event.encode_set b q.trace;
+  list q.snd;
+  list q.rcv;
+  List.iter int
+    [ q.joins; q.accepts; q.next_nonce; q.next_key; q.next_data;
+      q.i_nonces; q.i_keys ];
+  Buffer.contents b
 
 let intruder_initial ?(config = default_config) q =
   let base =
@@ -132,9 +153,14 @@ let intruder_initial ?(config = default_config) q =
 
 let intruder_knowledge ?config q =
   Closure.analz
-    (Field.Set.union (intruder_initial ?config q) (Event.contents q.trace))
+    (Event.Set.fold
+       (fun e acc -> Field.Set.add (Event.content e) acc)
+       q.trace (intruder_initial ?config q))
 
-let trace_parts q = Closure.parts (Event.contents q.trace)
+let trace_parts q =
+  Event.Set.fold
+    (fun e acc -> Closure.add_parts acc (Event.content e))
+    q.trace Field.Set.empty
 
 let in_use q k =
   match q.lead with

@@ -111,7 +111,9 @@ val pp_leader_state : Format.formatter -> leader_state -> unit
 val initial : state
 
 val canon : state -> string
-(** Canonical serialization for state hashing. *)
+(** The state's identity as a prefix-free byte string: [canon a =
+    canon b] iff the two states have the same fields, comparing traces
+    by their events. *)
 
 val intruder_knowledge : ?config:config -> state -> Field.Set.t
 (** [Know(E, q)]: Analz closure of the intruder's initial knowledge,

@@ -4,17 +4,6 @@ let describe_state q =
     (String.concat ";" (List.map string_of_int q.Model.snd))
     (String.concat ";" (List.map string_of_int q.Model.rcv))
 
-let max_violations = 5
-
-let make_report name checked violations =
-  {
-    Invariants.name;
-    holds = violations = [];
-    checked;
-    violations =
-      List.filteri (fun i _ -> i < max_violations) (List.rev violations);
-  }
-
 let rec is_prefix xs ys =
   match (xs, ys) with
   | [], _ -> true
@@ -30,25 +19,21 @@ let state_checker name check =
         incr checked;
         if not (check q) then violations := describe_state q :: !violations);
     on_edge = (fun _ _ _ -> ());
-    finish = (fun () -> [ make_report name !checked !violations ]);
+    finish = (fun () -> [ Invariants.make_report name !checked !violations ]);
   }
-
-let one result c =
-  match Invariants.check_result result c with
-  | [ r ] -> r
-  | _ -> assert false
 
 let prefix_stream () =
   state_checker "rcv_A prefix of snd_A (5.4)" (fun q ->
       is_prefix q.Model.rcv q.Model.snd)
 
-let prefix_property result = one result (prefix_stream ())
+let prefix_property result = Invariants.one result (prefix_stream ())
 
 let proper_authentication_stream () =
   state_checker "proper authentication (5.4)" (fun q ->
       q.Model.accepts <= q.Model.joins)
 
-let proper_authentication result = one result (proper_authentication_stream ())
+let proper_authentication result =
+  Invariants.one result (proper_authentication_stream ())
 
 let agreement_stream () =
   state_checker "key/nonce agreement (5.4)" (fun q ->
@@ -57,7 +42,7 @@ let agreement_stream () =
           n = n' && k = k'
       | _ -> true)
 
-let agreement result = one result (agreement_stream ())
+let agreement result = Invariants.one result (agreement_stream ())
 
 let possession_stream () =
   state_checker "A connected => InUse (5.4)" (fun q ->
@@ -65,14 +50,14 @@ let possession_stream () =
       | Model.U_connected (_, k) -> Model.in_use q k
       | Model.U_not_connected | Model.U_waiting_for_key _ -> true)
 
-let possession result = one result (possession_stream ())
+let possession result = Invariants.one result (possession_stream ())
 
 let no_duplicates_stream () =
   state_checker "no duplicate admin accepted (5.4)" (fun q ->
       List.length (List.sort_uniq compare q.Model.rcv)
       = List.length q.Model.rcv)
 
-let no_duplicates result = one result (no_duplicates_stream ())
+let no_duplicates result = Invariants.one result (no_duplicates_stream ())
 
 let stream () =
   Invariants.combine

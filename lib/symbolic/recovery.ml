@@ -93,7 +93,9 @@ let initial =
     replayed_rejected = false;
   }
 
-let canon q = Marshal.to_string q []
+(* [No_sharing], so that the bytes depend on the value alone and not
+   on which of its parts happen to be physically shared. *)
+let canon q = Marshal.to_string q [ Marshal.No_sharing ]
 
 let record_frame q f =
   if List.mem f q.wire then q
@@ -350,7 +352,7 @@ let successors bounds q =
   let try_deliver mk recv f target =
     if deliverable_at target then
       match recv q target f with
-      | Some q' when canon q' <> canon q -> add (mk (f, target)) q'
+      | Some q' when q' <> q -> add (mk (f, target)) q'
       | Some _ | None -> ()
   in
   List.iter

@@ -100,7 +100,32 @@ let initial =
     imported = false;
   }
 
-let canon q = Marshal.to_string q []
+(* One byte per field, in declaration order: a fixed-width key, so it
+   is prefix-free by construction. Any bounds that let a field leave
+   0..255 are refused rather than aliased. *)
+let canon q =
+  let b = Bytes.create 14 in
+  let put i v =
+    if v < 0 || v > 255 then
+      invalid_arg
+        (Printf.sprintf "Sentinel_model.canon: field %d out of range (%d)" i v);
+    Bytes.set b i (Char.chr v)
+  in
+  put 0 q.v_c0;
+  put 1 q.v_off;
+  put 2 q.v_level;
+  put 3 (Bool.to_int q.v_challenged);
+  put 4 q.m_c0;
+  put 5 q.m_c1;
+  put 6 q.m_level;
+  put 7 q.w_c0;
+  put 8 q.w_level;
+  put 9 q.replica;
+  put 10 (match q.snap with None -> 0 | Some s -> s + 1);
+  put 11 (Bool.to_int q.clamped);
+  put 12 (Bool.to_int q.attested);
+  put 13 (Bool.to_int q.imported);
+  Bytes.unsafe_to_string b
 
 type move =
   | M_slip  (* V's own socket: one unit of honest on-path noise *)
@@ -164,7 +189,7 @@ let challenge_due b q =
 
 let successors b q =
   let moves = ref [] in
-  let add m s = if canon s <> canon q then moves := (m, s) :: !moves in
+  let add m s = if s <> q then moves := (m, s) :: !moves in
 
   (* V's honest noise: bounded, single-class, on-path. *)
   if q.v_c0 < b.slip_cap then

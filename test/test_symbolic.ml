@@ -105,6 +105,270 @@ let test_coideal_analz_closure_sample () =
         true (Closure.in_coideal s f))
     (Closure.analz safe)
 
+(* --- Kernels against their references --- *)
+
+(* Atoms near zero, around the intruder's base (1000) and far out, so
+   comparisons and the key encoding see every width. *)
+let gen_atom =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range 0 3);
+        (2, int_range 998 1003);
+        (1, int_range 0 (1 lsl 40));
+      ])
+
+let gen_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Pa);
+        (2, map (fun i -> Ka i) gen_atom);
+        (2, map (fun i -> Kg i) gen_atom);
+      ])
+
+let gen_agent = QCheck.Gen.oneofl [ A; L; Intruder ]
+
+(* Every constructor, nested up to depth 4, with [FCat] of length 0-4
+   built directly (the smart constructor refuses fewer than two). *)
+let gen_field =
+  QCheck.Gen.(
+    sized_size (int_range 0 4)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [
+                 map (fun a -> FAgent a) gen_agent;
+                 map (fun n -> FNonce n) gen_atom;
+                 map (fun k -> FKey k) gen_key;
+                 map (fun d -> FData d) gen_atom;
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map
+                     (fun fs -> FCat fs)
+                     (list_size (int_range 0 4) (self (depth - 1))) );
+                 ( 2,
+                   map2 (fun k f -> FCrypt (k, f)) gen_key (self (depth - 1)) );
+               ]))
+
+(* A copy sharing no block with the original, so [==] cannot decide a
+   comparison and the key encoder cannot see the original's sharing. *)
+let copy_key = function Pa -> Pa | Ka i -> Ka i | Kg i -> Kg i
+
+let rec copy_field = function
+  | FAgent a -> FAgent a
+  | FNonce n -> FNonce n
+  | FKey k -> FKey (copy_key k)
+  | FData d -> FData d
+  | FCat fs -> FCat (List.map copy_field fs)
+  | FCrypt (k, f) -> FCrypt (copy_key k, copy_field f)
+
+(* The field with its last atom changed: equal up to the final word. *)
+let rec nudge = function
+  | FAgent A -> FAgent L
+  | FAgent (L | Intruder) -> FAgent A
+  | FNonce n -> FNonce (n + 1)
+  | FKey Pa -> FKey (Ka 0)
+  | FKey (Ka i) -> FKey (Ka (i + 1))
+  | FKey (Kg i) -> FKey (Kg (i + 1))
+  | FData d -> FData (d + 1)
+  | FCat fs -> (
+      match List.rev fs with
+      | [] -> FCat [ FAgent A ]
+      | last :: rest -> FCat (List.rev (nudge last :: rest)))
+  | FCrypt (k, f) -> FCrypt (k, nudge f)
+
+(* The field with one more part at its end where a concatenation
+   allows it: a pair whose encodings may share a prefix. *)
+let rec extend = function
+  | FCat fs -> FCat (fs @ [ FAgent A ])
+  | FCrypt (k, f) -> FCrypt (k, extend f)
+  | (FAgent _ | FNonce _ | FKey _ | FData _) as f -> FCat [ f ]
+
+(* Pairs of unrelated values, and of a value and its variants. *)
+let related gen variants =
+  QCheck.Gen.(
+    let* x = gen in
+    oneof
+      (map (fun y -> (x, y)) gen
+      :: List.concat_map
+           (fun v -> [ return (x, v x); return (v x, x) ])
+           variants))
+
+let labels =
+  Event.
+    [
+      AuthInitReq; AuthKeyDist; AuthAckKey; AdminMsg; Ack; ReqClose; LReqOpen;
+      LAckOpen; LConnDenied; LAuth1; LAuth2; LAuth3; LNewKey; LMemRemoved;
+      LReqClose;
+    ]
+
+let gen_event_of content =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map4
+            (fun label sender recipient content ->
+              Event.Msg { label; sender; recipient; content })
+            (oneofl labels) gen_agent gen_agent content );
+        (1, map (fun f -> Event.Oops f) content);
+      ])
+
+let copy_event = function
+  | Event.Msg m -> Event.Msg { m with content = copy_field m.content }
+  | Event.Oops f -> Event.Oops (copy_field f)
+
+let nudge_event = function
+  | Event.Msg ({ recipient = A; _ } as m) -> Event.Msg { m with recipient = L }
+  | Event.Msg m -> Event.Msg { m with content = nudge m.content }
+  | Event.Oops f -> Event.Oops (nudge f)
+
+let sign c = Int.compare c 0
+
+let pp_pair pp (x, y) = Format.asprintf "%a  vs  %a" pp x pp y
+
+let field_pairs = related gen_field [ copy_field; nudge; extend ]
+
+let qcheck_field_compare =
+  QCheck.Test.make ~name:"Field.compare agrees with Stdlib.compare"
+    ~count:2000
+    (QCheck.make ~print:(pp_pair Field.pp) field_pairs)
+    (fun (f, g) -> sign (Field.compare f g) = sign (Stdlib.compare f g))
+
+let test_int_encoding () =
+  (* Every pair of ints around the 7-bit group boundaries and at the
+     ends of the range: distinct ints, encodings neither equal nor one
+     a prefix of the other. *)
+  let ints =
+    [ 0; 1; 127; 128; 129; 255; 256; 1000; 16_383; 16_384; 2_097_152;
+      max_int; min_int; -1 ]
+  in
+  let enc n =
+    let b = Buffer.create 10 in
+    Field.encode_int b n;
+    Buffer.contents b
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun m ->
+          if n <> m then
+            Alcotest.(check bool)
+              (Printf.sprintf "%d and %d" n m)
+              false
+              (String.starts_with ~prefix:(enc n) (enc m)))
+        ints)
+    ints
+
+let encoding f =
+  let b = Buffer.create 16 in
+  Field.encode b f;
+  Buffer.contents b
+
+(* What lets a state key concatenate field encodings: equal fields
+   encode equally, and no other field's encoding starts with theirs. *)
+let qcheck_field_encode =
+  QCheck.Test.make ~name:"Field.encode injective and prefix-free"
+    ~count:2000
+    (QCheck.make ~print:(pp_pair Field.pp) field_pairs)
+    (fun (f, g) ->
+      let ef = encoding f and eg = encoding g in
+      if Field.equal f g then ef = eg
+      else
+        not
+          (String.starts_with ~prefix:ef eg
+          || String.starts_with ~prefix:eg ef))
+
+let qcheck_event_compare =
+  QCheck.Test.make ~name:"Event.compare agrees with Stdlib.compare"
+    ~count:2000
+    (QCheck.make ~print:(pp_pair Event.pp)
+       (related (gen_event_of gen_field) [ copy_event; nudge_event ]))
+    (fun (e, e') -> sign (Event.compare e e') = sign (Stdlib.compare e e'))
+
+(* Analz as first written: sweep the whole set, splitting
+   concatenations and opening encryptions under keys already in it,
+   until a sweep adds nothing. The reference for the worklist. *)
+let fixpoint_analz s =
+  let changed = ref true and current = ref s in
+  while !changed do
+    changed := false;
+    let before = !current in
+    let learn part acc =
+      if Field.Set.mem part acc then acc
+      else begin
+        changed := true;
+        Field.Set.add part acc
+      end
+    in
+    let step f acc =
+      match f with
+      | FCat fs -> List.fold_left (fun acc part -> learn part acc) acc fs
+      | FCrypt (k, body) when Field.Set.mem (FKey k) before -> learn body acc
+      | FAgent _ | FNonce _ | FKey _ | FData _ | FCrypt _ -> acc
+    in
+    current := Field.Set.fold step before before
+  done;
+  !current
+
+(* Few keys and nonces, so encryptions often meet their keys: keys
+   wrapped under keys, chains of three, and encryptions that are met
+   before the key that opens them is learned. *)
+let gen_analz_set =
+  QCheck.Gen.(
+    let key = oneofl [ Pa; Ka 0; Ka 1; Ka 2; Kg 1 ] in
+    let atom =
+      oneof
+        [
+          map (fun n -> FNonce n) (int_range 0 2);
+          map (fun k -> FKey k) key;
+          return (FAgent A);
+        ]
+    in
+    let field =
+      fix
+        (fun self depth ->
+          if depth = 0 then atom
+          else
+            frequency
+              [
+                (2, atom);
+                (2, map2 (fun k f -> FCrypt (k, f)) key (self (depth - 1)));
+                ( 1,
+                  map
+                    (fun fs -> FCat fs)
+                    (list_size (int_range 0 3) (self (depth - 1))) );
+              ])
+        3
+    in
+    let chain =
+      map4
+        (fun k1 k2 k3 x ->
+          [ FCrypt (k1, FKey k2); FCrypt (k2, FKey k3); FCrypt (k3, x) ])
+        key key key field
+    in
+    map2
+      (fun fs chains -> Field.Set.of_list (fs @ List.concat chains))
+      (list_size (int_range 0 6) field)
+      (list_size (int_range 0 2) chain))
+
+let pp_set fmt s =
+  Format.pp_print_list
+    ~pp_sep:(fun f () -> Format.pp_print_string f "; ")
+    Field.pp fmt (Field.Set.elements s)
+
+let qcheck_analz =
+  QCheck.Test.make ~name:"worklist analz equals the fixpoint" ~count:1000
+    (QCheck.make ~print:(Format.asprintf "%a" pp_set) gen_analz_set)
+    (fun s -> Field.Set.equal (Closure.analz s) (fixpoint_analz s))
+
 (* --- Exploration --- *)
 
 let small_config =
@@ -245,6 +509,167 @@ let test_stream_matches_retained () =
       Alcotest.(check int) ("checked " ^ s.Invariants.name) t.Invariants.checked
         s.Invariants.checked)
     streamed retained
+
+(* What makes two model states the same state: every field, the
+   trace compared by its events rather than by its set tree. *)
+let identity q =
+  Model.
+    ( q.usr,
+      q.lead,
+      Event.Set.elements q.trace,
+      q.snd,
+      q.rcv,
+      q.joins,
+      q.accepts,
+      (q.next_nonce, q.next_key, q.next_data, q.i_nonces, q.i_keys) )
+
+let count_repeats cmp l =
+  let rec go n = function
+    | a :: (b :: _ as rest) -> go (if cmp a b = 0 then n + 1 else n) rest
+    | [] | [ _ ] -> n
+  in
+  go 0 (List.sort cmp l)
+
+let test_no_duplicate_states () =
+  (* Regression: keys that depended on physical sharing gave a state
+     reached by an honest send and by a replay of the same field two
+     ids — 314 of the 2000 stored here. *)
+  let config = { Model.default_config with mutations = [ Model.Leak_pa ] } in
+  let r = Explore.run ~config ~max_states:2000 () in
+  Alcotest.(check int) "capped" 2000 (Explore.state_count r);
+  Alcotest.(check int) "states stored twice" 0
+    (count_repeats Stdlib.compare
+       (Array.to_list (Array.map identity r.Explore.states)))
+
+let test_canon_default_states () =
+  (* Every default-bounds state is a different state with a different
+     key, so over these states equal keys and equal identities
+     coincide. *)
+  let r = Lazy.force explored in
+  let states = Array.to_list r.Explore.states in
+  Alcotest.(check int) "identities repeated" 0
+    (count_repeats Stdlib.compare (List.map identity states));
+  Alcotest.(check int) "keys repeated" 0
+    (count_repeats String.compare (List.map Model.canon states))
+
+(* The default-bounds states in id order — control states and the
+   trace in set order — as the polymorphic compare and the Marshal
+   keys produced them. Any change to either order moves the digest. *)
+let test_state_order_pinned () =
+  let r = Lazy.force explored in
+  let b = Buffer.create 4096 in
+  Explore.iter_states r (fun q ->
+      Buffer.add_string b
+        (Format.asprintf "%a %a %a\n" Model.pp_user_state q.Model.usr
+           Model.pp_leader_state q.Model.lead
+           (Format.pp_print_list
+              ~pp_sep:(fun f () -> Format.pp_print_string f "; ")
+              Event.pp)
+           (Event.Set.elements q.Model.trace)));
+  Alcotest.(check string) "states digest" "cc730e418854e125a339124775de9228"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Random states from small pools, so that contents repeat, and some
+   events share their content physically. *)
+let gen_state =
+  QCheck.Gen.(
+    let small = int_range 0 3 in
+    let usr =
+      oneof
+        [
+          return Model.U_not_connected;
+          map (fun n -> Model.U_waiting_for_key n) small;
+          map2 (fun n k -> Model.U_connected (n, k)) small small;
+        ]
+    in
+    let lead =
+      oneof
+        [
+          return Model.L_not_connected;
+          map2 (fun n k -> Model.L_waiting_for_key_ack (n, k)) small small;
+          map2 (fun n k -> Model.L_connected (n, k)) small small;
+          map2 (fun n k -> Model.L_waiting_for_ack (n, k)) small small;
+        ]
+    in
+    let content =
+      oneof
+        [
+          map
+            (fun n -> FCrypt (Pa, cat [ FAgent A; FAgent L; FNonce n ]))
+            small;
+          map2
+            (fun k n ->
+              FCrypt (Ka k, cat [ FAgent A; FAgent L; FNonce n; FNonce 1000 ]))
+            small small;
+          map (fun k -> FKey (Ka k)) small;
+        ]
+    in
+    let* contents = list_size (int_range 1 3) content in
+    let* events = list_size (int_range 0 6) (gen_event_of (oneofl contents)) in
+    let* usr = usr and* lead = lead in
+    let* snd = list_size (int_range 0 2) small
+    and* rcv = list_size (int_range 0 2) small in
+    let* joins = small and* accepts = small and* next_nonce = small in
+    let+ next_key = small and+ i_nonces = int_range 0 1 in
+    {
+      Model.usr;
+      lead;
+      trace = Event.Set.of_list events;
+      snd;
+      rcv;
+      joins;
+      accepts;
+      next_nonce;
+      next_key;
+      next_data = 0;
+      i_nonces;
+      i_keys = 0;
+    })
+
+(* The same state rebuilt without any sharing, its trace inserted in
+   reverse order so its set tree may differ too. *)
+let copy_state q =
+  {
+    q with
+    Model.trace =
+      List.fold_left
+        (fun s e -> Event.Set.add (copy_event e) s)
+        Event.Set.empty
+        (List.rev (Event.Set.elements q.Model.trace));
+    snd = List.map Fun.id q.Model.snd;
+    rcv = List.map Fun.id q.Model.rcv;
+  }
+
+let nudge_state i q =
+  match i with
+  | 0 -> { q with Model.joins = q.Model.joins + 1 }
+  | 1 -> { q with Model.snd = q.Model.rcv; rcv = q.Model.snd }
+  | 2 -> { q with Model.next_nonce = q.Model.next_nonce + 1 }
+  | 3 -> { q with Model.i_nonces = q.Model.i_nonces + 1 }
+  | _ -> (
+      match Event.Set.elements q.Model.trace with
+      | [] ->
+          { q with Model.trace = Event.Set.singleton (Event.Oops (FKey Pa)) }
+      | e :: _ ->
+          { q with Model.trace = Event.Set.add (nudge_event e) q.Model.trace })
+
+let gen_state_pair =
+  QCheck.Gen.(
+    let* q = gen_state in
+    frequency
+      [
+        (1, map (fun q' -> (q, q')) gen_state);
+        (2, return (q, copy_state q));
+        (2, map (fun i -> (q, nudge_state i q)) (int_range 0 5));
+      ])
+
+let qcheck_canon =
+  QCheck.Test.make ~name:"Model.canon equal iff identities equal" ~count:1000
+    (QCheck.make gen_state_pair)
+    (fun (a, b) ->
+      let same_key = Model.canon a = Model.canon b
+      and same_state = Stdlib.compare (identity a) (identity b) = 0 in
+      same_key = same_state)
 
 let test_intruder_injections_happen () =
   let r = Lazy.force explored in
@@ -497,6 +922,23 @@ let test_sentinel_model_pinned () =
     [ 64860; 372282; 372282; 372282; 64860 ]
     (List.map (fun rep -> rep.Invariants.checked) reports)
 
+let test_sentinel_key_range () =
+  (* The sentinel's key holds each field in one byte: bounds that let a
+     score pass 255 are refused, never aliased onto another state. *)
+  let bounds =
+    {
+      Sentinel_model.rate_limit_at = 1;
+      quarantine_at = 3;
+      expel_at = 5;
+      slip_cap = 300;
+      off_cap = 0;
+      cls_cap = 0;
+    }
+  in
+  match Sentinel_model.explore ~bounds () with
+  | _ -> Alcotest.fail "explored a score the key cannot hold"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ( "symbolic-algebra (§4)",
@@ -510,7 +952,16 @@ let suite =
         Alcotest.test_case "ideal/coideal" `Quick test_ideal;
         Alcotest.test_case "coideal analz-closed (sample)" `Quick
           test_coideal_analz_closure_sample;
-      ] );
+        Alcotest.test_case "int encoding prefix-free" `Quick test_int_encoding;
+      ]
+      @ List.map
+          (QCheck_alcotest.to_alcotest ~long:false)
+          [
+            qcheck_field_compare;
+            qcheck_event_compare;
+            qcheck_field_encode;
+            qcheck_analz;
+          ] );
     ( "symbolic-exploration (§4)",
       [
         Alcotest.test_case "complete within bounds" `Quick
@@ -527,7 +978,13 @@ let suite =
         Alcotest.test_case "deep scenarios reachable" `Quick
           test_full_session_reachable;
         Alcotest.test_case "intruder live" `Quick test_intruder_injections_happen;
-      ] );
+        Alcotest.test_case "no state stored twice (Leak_pa, capped)" `Quick
+          test_no_duplicate_states;
+        Alcotest.test_case "canonical keys (default bounds)" `Quick
+          test_canon_default_states;
+        Alcotest.test_case "state order pinned" `Quick test_state_order_pinned;
+      ]
+      @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ qcheck_canon ] );
     ( "symbolic-verification (§5)",
       [
         Alcotest.test_case "invariants (default)" `Quick test_invariants_default;
@@ -566,5 +1023,7 @@ let suite =
       [
         Alcotest.test_case "counts and obligations pinned" `Quick
           test_sentinel_model_pinned;
+        Alcotest.test_case "key refuses out-of-range scores" `Quick
+          test_sentinel_key_range;
       ] );
   ]
