@@ -14,15 +14,6 @@ let arm_name = function
   | Frame_replay -> "frame-replay"
   | Frame_flood -> "frame-flood"
 
-let arm_of_name = function
-  | "preauth-flood" -> Some Preauth_flood
-  | "handshake-storm" -> Some Handshake_storm
-  | "forge-burst" -> Some Forge_burst
-  | "replay-burst" -> Some Replay_burst
-  | "frame-replay" -> Some Frame_replay
-  | "frame-flood" -> Some Frame_flood
-  | _ -> None
-
 type campaign = {
   arm : arm;
   start : Vtime.t;

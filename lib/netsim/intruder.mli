@@ -44,7 +44,6 @@ type arm =
           admission budget and pin pre-auth pressure on it. *)
 
 val arm_name : arm -> string
-val arm_of_name : string -> arm option
 
 type campaign = {
   arm : arm;
