@@ -69,9 +69,10 @@ let totals t =
     resyncs_served = b.resyncs_served + Leader.resyncs_served l;
     degraded_entries = b.degraded_entries + Leader.degraded_entries l;
     rearms = b.rearms + Leader.rearms l;
+    (* Counted on the disk handle, which outlives incarnations: never
+       banked. *)
     eio_retries =
-      (b.eio_retries
-      + match t.journal with Some j -> Journal.eio_retries j | None -> 0);
+      (match t.backend with Some d -> Store.Backend.eio_retries d | None -> 0);
     delivery =
       add_delivery b.delivery
         (match Leader.delivery l with

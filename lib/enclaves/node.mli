@@ -108,7 +108,9 @@ type totals = {
   resyncs_served : int;  (** {!Leader.resyncs_served} *)
   degraded_entries : int;  (** {!Leader.degraded_entries} *)
   rearms : int;  (** {!Leader.rearms} *)
-  eio_retries : int;  (** {!Journal.eio_retries} *)
+  eio_retries : int;
+      (** {!Store.Backend.eio_retries} of the node's disk: every writer
+          on it (journal, vault, delivery queues), every incarnation. *)
   delivery : Delivery.counters;
       (** Summed; [queue_bytes_hwm] is the max over incarnations. *)
 }

@@ -48,5 +48,3 @@ val get : t -> int
 val contents : t -> string
 (** The raw image bytes. *)
 
-val eio_retries : t -> int
-(** Transient-EIO retries absorbed so far. *)
