@@ -143,11 +143,12 @@ bench-diff:
 crash-matrix:
 	dune exec bin/enclaves_cli.exe -- crash-matrix --appends 24 --compact-every 8
 
-# The journal's totality property (truncation/bit-flip recovery) plus
-# the crash-recovery scenarios and the storage layer, as a focused
-# filter over the test tree.
+# The replay totality properties (truncation/bit-flip recovery) of the
+# journal and the delivery queue, plus the crash-recovery scenarios and
+# the storage layer, as a focused filter over the test tree.
 journal-fuzz:
 	dune exec test/test_main.exe -- test journal
+	dune exec test/test_main.exe -- test queue
 	dune exec test/test_main.exe -- test recovery
 	dune exec test/test_main.exe -- test store
 

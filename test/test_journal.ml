@@ -1,10 +1,13 @@
 (* Durable leader journal: roundtrip, state folding, compaction, and
-   the totality property that makes warm recovery safe — replay of
-   arbitrarily truncated or bit-flipped journal bytes never raises and
-   always recovers a valid prefix of the original records. *)
+   the totality properties that make warm recovery safe — replay of
+   arbitrarily truncated or bit-flipped bytes never raises and always
+   recovers a valid prefix of the original records. The properties are
+   written once over the log engine and run on the journal and on a
+   delivery queue. *)
 
 open Enclaves
 module J = Journal
+module Q = Store.Queue
 
 let raw_key i = String.init 16 (fun j -> Char.chr ((i * 31 + j * 7) land 0xff))
 
@@ -31,13 +34,13 @@ let records_equal got want =
   List.length got = List.length want
   && List.for_all2 J.record_equal got want
 
-let is_prefix got orig =
-  let rec go = function
-    | [], _ -> true
-    | _ :: _, [] -> false
-    | g :: gs, o :: os -> J.record_equal g o && go (gs, os)
-  in
-  go (got, orig)
+let rec prefix_of equal got orig =
+  match (got, orig) with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | g :: gs, o :: os -> equal g o && prefix_of equal gs os
+
+let is_prefix = prefix_of J.record_equal
 
 let test_roundtrip () =
   let orig = sample_records 23 in
@@ -158,47 +161,81 @@ let test_torn_tail_write () =
         valid_bytes
   | _ -> Alcotest.fail "expected damage at record 8")
 
-(* --- properties --- *)
+(* --- replay properties, once over the engine --- *)
 
-let property_bytes = J.contents (journal_of (sample_records 40))
-let property_records = sample_records 40
+module Replay_properties (L : sig
+  include Store.Log.S
 
-let qcheck_tests =
-  [
-    QCheck.Test.make ~name:"replay of truncated journal recovers a prefix"
-      ~count:300
-      QCheck.(int_range 0 (String.length property_bytes))
-      (fun cut ->
-        let got, _ = J.replay (String.sub property_bytes 0 cut) in
-        is_prefix got property_records);
-    QCheck.Test.make ~name:"replay survives any single-bit corruption"
-      ~count:500
-      QCheck.(pair (int_range 0 (String.length property_bytes - 1)) (int_range 0 7))
-      (fun (i, bit) ->
-        let b = Bytes.of_string property_bytes in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-        let got, _ = J.replay (Bytes.to_string b) in
-        is_prefix got property_records);
-    QCheck.Test.make ~name:"replay survives arbitrary bytes" ~count:500
-      QCheck.string (fun s ->
-        let got, _ = J.replay s in
-        (* Arbitrary bytes almost never checksum; whatever does decode
-           must still be internally consistent — no raise is the real
-           assertion. *)
-        List.length got >= 0);
-    QCheck.Test.make ~name:"recover is total and appendable" ~count:200
-      QCheck.(pair (int_range 0 (String.length property_bytes)) (int_range 0 7))
-      (fun (cut, bit) ->
-        let b = Bytes.of_string (String.sub property_bytes 0 cut) in
-        if Bytes.length b > 0 then begin
-          let i = cut / 2 in
-          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)))
-        end;
-        let j, st, _ = J.recover (Bytes.to_string b) in
-        J.append j (J.Session_closed { member = "anyone" });
-        ignore st;
-        true);
-  ]
+  val name : string
+  val sample : record list
+  val extra : record
+end) =
+struct
+  let image =
+    let t = L.create ~compact_every:10_000 () in
+    List.iter (L.append t) L.sample;
+    L.contents t
+
+  let is_prefix got = prefix_of L.record_equal got L.sample
+
+  let tests =
+    [
+      QCheck.Test.make
+        ~name:(Printf.sprintf "replay of truncated %s recovers a prefix" L.name)
+        ~count:300
+        QCheck.(int_range 0 (String.length image))
+        (fun cut -> is_prefix (fst (L.replay (String.sub image 0 cut))));
+      QCheck.Test.make ~name:"replay survives any single-bit corruption"
+        ~count:500
+        QCheck.(pair (int_range 0 (String.length image - 1)) (int_range 0 7))
+        (fun (i, bit) ->
+          let b = Bytes.of_string image in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+          is_prefix (fst (L.replay (Bytes.to_string b))));
+      QCheck.Test.make ~name:"replay survives arbitrary bytes" ~count:500
+        QCheck.string (fun s ->
+          (* Arbitrary bytes almost never checksum; no raise is the real
+             assertion. *)
+          List.length (fst (L.replay s)) >= 0);
+      QCheck.Test.make ~name:"recover is total and appendable" ~count:200
+        QCheck.(pair (int_range 0 (String.length image)) (int_range 0 7))
+        (fun (cut, bit) ->
+          let b = Bytes.of_string (String.sub image 0 cut) in
+          if Bytes.length b > 0 then begin
+            let i = cut / 2 in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)))
+          end;
+          let t, _, _ = L.recover (Bytes.to_string b) in
+          L.append t L.extra;
+          true);
+    ]
+end
+
+module Journal_properties = Replay_properties (struct
+  include J
+
+  let name = "journal"
+  let sample = sample_records 40
+  let extra = J.Session_closed { member = "anyone" }
+end)
+
+(* Pushes, cumulative acks and drops in a fixed rhythm. *)
+module Queue_properties = Replay_properties (struct
+  include Q
+
+  let name = "queue"
+
+  let sample =
+    List.init 40 (fun i ->
+        match i mod 4 with
+        | 0 | 1 ->
+            let payload = String.make (i mod 7) 'p' in
+            Q.Push { seq = i; epoch = i / 8; payload }
+        | 2 -> Q.Ack { upto = i - 1 }
+        | _ -> Q.Drop { seq = i - 3 })
+
+  let extra = Q.Ack { upto = 0 }
+end)
 
 let suite =
   [
@@ -216,5 +253,6 @@ let suite =
           ("every truncation recovers a prefix", test_every_truncation_recovers_prefix);
           ("torn tail write", test_torn_tail_write);
         ]
-      @ List.map QCheck_alcotest.to_alcotest qcheck_tests );
+      @ List.map QCheck_alcotest.to_alcotest Journal_properties.tests );
+    ("queue", List.map QCheck_alcotest.to_alcotest Queue_properties.tests);
   ]
