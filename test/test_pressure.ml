@@ -149,12 +149,12 @@ let ladder_episode seed =
   descended && !monotone && recovered
   && L.mode t = L.Healthy
   && L.durability_armed t
-  && L.rearms t = 1
-  && L.degraded_entries t >= 1
+  && (L.counters t).L.rearms = 1
+  && (L.counters t).L.degraded_entries >= 1
   (* Re-arming on a healthy ladder is a no-op probe, not a second
      recovery. *)
   && L.try_rearm t
-  && L.rearms t = 1
+  && (L.counters t).L.rearms = 1
 
 (* --- degraded-mode crash matrix --- *)
 
