@@ -19,12 +19,6 @@ type policy = { width : int; on_stale : stale_action }
 
 let default_policy = { width = 1; on_stale = Reject }
 
-let pp_policy fmt { width; on_stale } =
-  Format.fprintf fmt "window=%d,%s" width
-    (match on_stale with
-    | Deliver_stale -> "deliver-stale"
-    | Reject -> "reject")
-
 type counters = {
   mutable queued : int;
   mutable drained : int;

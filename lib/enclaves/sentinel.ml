@@ -30,15 +30,6 @@ type evidence =
   | Malformed
   | Contained
 
-let evidence_name = function
-  | Mac_failure -> "mac-failure"
-  | Replay -> "replay"
-  | Stale_rekey -> "stale-rekey"
-  | Half_open -> "half-open"
-  | Preauth_pressure -> "preauth-pressure"
-  | Malformed -> "malformed"
-  | Contained -> "contained"
-
 (* Evidence classes index the per-peer on-path score vector; the
    corroboration gate counts how many distinct classes are live. *)
 let n_classes = 7
@@ -614,11 +605,3 @@ let import t blob =
     lines;
   t.counters.suspicion_imported <- t.counters.suspicion_imported + 1;
   !merged
-
-let pp_suspects fmt t =
-  let pp_one fmt (name, lvl) =
-    Format.fprintf fmt "%s=%s(%.1f)" name (level_name lvl) (score t name)
-  in
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " ")
-    pp_one fmt (suspects t)

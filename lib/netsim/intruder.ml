@@ -32,10 +32,6 @@ let campaign ?(jitter = 0.25) ~arm ~start ~stop ~period ~burst () =
     invalid_arg "Intruder.campaign: jitter must be in [0,1)";
   { arm; start; stop; period; burst; jitter }
 
-let pp_campaign fmt c =
-  Format.fprintf fmt "%s[%a..%a period=%a burst=%d]" (arm_name c.arm) Vtime.pp
-    c.start Vtime.pp c.stop Vtime.pp c.period c.burst
-
 type counters = {
   mutable flood_frames : int;
   mutable storm_frames : int;

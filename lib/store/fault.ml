@@ -80,10 +80,8 @@ let counters t = t.counters
 let crashed t = t.crashed
 let stalled t = t.stalled
 let set_space_budget t b = t.space_budget <- b
-let space_budget t = t.space_budget
 let heal_stall t = t.stalled <- false
 let trigger_stall t = t.stalled <- true
-
 let bytes_used t = Hashtbl.fold (fun _ n acc -> acc + n) t.sizes 0
 
 let size_of t file = Option.value ~default:0 (Hashtbl.find_opt t.sizes file)

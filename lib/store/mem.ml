@@ -47,7 +47,6 @@ let remove t ~file =
   Hashtbl.remove t.volatile file;
   Hashtbl.remove t.durable file
 
-let volatile_of t file = Hashtbl.find_opt t.volatile file
 let durable_of t file = Hashtbl.find_opt t.durable file
 
 let crash_image t =

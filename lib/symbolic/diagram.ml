@@ -182,9 +182,6 @@ let coverage_stream parts =
         ]);
   }
 
-let check_coverage result =
-  Invariants.one result (coverage_stream Model.trace_parts)
-
 let edges_stream () =
   let checked = ref 0 and violations = ref [] in
   {
@@ -209,8 +206,6 @@ let edges_stream () =
       (fun () ->
         [ Invariants.make_report "diagram edges (5.3)" !checked !violations ]);
   }
-
-let check_edges result = Invariants.one result (edges_stream ())
 
 (* The paper's induction step for agents other than A and L: they can
    only replay protected fields, never mint new ones. For each state
@@ -264,9 +259,6 @@ let intruder_obligations_stream ?(config = Model.default_config) parts =
             !violations;
         ]);
   }
-
-let check_intruder_obligations ?config result =
-  Invariants.one result (intruder_obligations_stream ?config Model.trace_parts)
 
 let visit_counts result =
   let counts = Hashtbl.create 16 in

@@ -10,16 +10,16 @@
     session-teardown boxes the paper does not print, the natural
     close-pending conditions.
 
-    Checks, each discharging a §5.3 proof obligation on the bounded
-    instance:
-    - {!check_coverage} — every reachable state lies in some box and
+    {!all} and {!stream} run three checks, each discharging a §5.3
+    proof obligation on the bounded instance:
+    - coverage — every reachable state lies in some box and
       satisfies that box's invariant (the paper's "[q0] satisfies
       [Q1]" plus the per-box induction conclusion);
-    - {!check_edges} — every explored transition goes from box [i] to
+    - edges — every explored transition goes from box [i] to
       [i] itself or one of its diagram successors (the
       [Q_i ∧ q → q' ⇒ Q_{i1}(q') ∨ …] obligation), and every intruder
       transition is a self-loop;
-    - {!check_intruder_obligations} — semantically, via
+    - intruder obligations — semantically, via
       {!Closure.in_synth}, the intruder cannot synthesize any field
       whose absence a box invariant asserts: it can only replay them
       (the "agents other than A and L leave [Q_i] invariant"
@@ -48,11 +48,6 @@ val classify : Model.state -> box option
 val box_invariant : Model.state -> box -> bool
 (** Does the state satisfy the box's predicate (trace conditions
     included)? *)
-
-val check_coverage : Explore.result -> Invariants.report
-val check_edges : Explore.result -> Invariants.report
-val check_intruder_obligations :
-  ?config:Model.config -> Explore.result -> Invariants.report
 
 val visit_counts : Explore.result -> (string * int) list
 (** States per box, for reporting. *)

@@ -48,7 +48,6 @@ val encode : Buffer.t -> t -> unit
     keys. *)
 
 val pp_agent : Format.formatter -> agent -> unit
-val pp_key : Format.formatter -> key -> unit
 val pp : Format.formatter -> t -> unit
 
 val cat : t list -> t

@@ -104,8 +104,6 @@ let regularity_stream () =
     finish = (fun () -> [ make_report "regularity (5.1)" !checked !violations ]);
   }
 
-let regularity result = one result (regularity_stream ())
-
 let long_term_key_secrecy_stream know =
   state_checker "P_a secrecy (5.1)" (fun checked violations q ->
       incr checked;
@@ -153,8 +151,6 @@ let coideal_invariant_stream () =
           end)
         (session_keys_mentioned q))
 
-let coideal_invariant result = one result (coideal_invariant_stream ())
-
 let oops_keys_are_public_stream know =
   state_checker "oops keys public (4.1)" (fun checked violations q ->
       Event.Set.iter
@@ -168,10 +164,6 @@ let oops_keys_are_public_stream know =
                   :: !violations
           | Event.Oops _ | Event.Msg _ -> ())
         q.Model.trace)
-
-let oops_keys_are_public ?config result =
-  one result
-    (oops_keys_are_public_stream (per_state (Model.intruder_knowledge ?config)))
 
 let stream ?config () =
   let know = per_state (Model.intruder_knowledge ?config) in

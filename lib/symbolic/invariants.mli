@@ -48,12 +48,20 @@ val per_state : (Model.state -> 'a) -> Model.state -> 'a
     turn. *)
 
 val stream : ?config:Model.config -> unit -> checker
-(** Streaming form of {!all}: the five §5.1/§5.2 secrecy checks. *)
-
-val regularity : Explore.result -> report
-(** §5.1, the Regularity Lemma's premise: no honest transition ever
-    places [P_a] inside a message. Checked per honest edge on the
-    contents the edge adds to the trace. *)
+(** Streaming form of {!all}: the five §5.1/§5.2 secrecy checks. Two
+    are {!long_term_key_secrecy} and {!session_key_secrecy}; the other
+    three are checked only here and in {!all}:
+    - regularity (§5.1, the Regularity Lemma's premise): no honest
+      transition ever places [P_a] inside a message, checked per
+      honest edge on the contents the edge adds to the trace;
+    - the coideal invariant (§5.2, property (5)): whenever [K_a] is in
+      use, [trace(q) ⊆ C({K_a, P_a})] — every content on the wire
+      lies in the coideal, i.e. carries no path to the secrets. This
+      is the paper's actual inductive invariant, stronger than its
+      corollary {!session_key_secrecy};
+    - Oops keys are public: once a session closes, its key {e is} in
+      the intruder's knowledge — compromise of expired keys is really
+      being modelled, so {!session_key_secrecy} is not vacuous. *)
 
 val long_term_key_secrecy : ?config:Model.config -> Explore.result -> report
 (** §5.1's conclusion: in every reachable state,
@@ -64,17 +72,5 @@ val session_key_secrecy : ?config:Model.config -> Explore.result -> report
 (** §5.2, Proposition 3: [InUse(K_a, q) ∧ K_a ∈ Know(G, q) ⇒ G ∈
     {A, L}] — while a session key is in use the intruder never holds
     it, even though expired session keys are handed over via Oops. *)
-
-val coideal_invariant : Explore.result -> report
-(** §5.2, property (5): whenever [K_a] is in use,
-    [trace(q) ⊆ C({K_a, P_a})] — every content on the wire lies in the
-    coideal, i.e. carries no path to the secrets. This is the
-    paper's actual inductive invariant, stronger than its corollary
-    {!session_key_secrecy}. *)
-
-val oops_keys_are_public : ?config:Model.config -> Explore.result -> report
-(** Sanity check of the Oops semantics: once a session closes, its key
-    {e is} in the intruder's knowledge — compromise of expired keys is
-    really being modelled, so {!session_key_secrecy} is not vacuous. *)
 
 val all : ?config:Model.config -> Explore.result -> report list
