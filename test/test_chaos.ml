@@ -360,6 +360,39 @@ let test_failover_lossy_crash () =
         fo_directory)
     (List.filteri (fun i _ -> i < 5) seeds)
 
+(* One handshake watchdog per member: with the member's link to the
+   leader cut, a second or third [join] restarts the pending watchdog
+   instead of starting another beside it, so the retransmits in 3 s
+   are one watchdog's (after ~0.25, ~0.75 and ~1.75 s) however often
+   [join] was called. *)
+let test_one_watchdog_per_member () =
+  List.iter
+    (fun joins ->
+      let d =
+        D.create ~seed:1L ~retry:D.default_retry ~leader:"leader" ~directory ()
+      in
+      Netsim.Network.set_faultplan (D.net d)
+        (Some
+           (Netsim.Faultplan.make
+              ~partitions:
+                [
+                  {
+                    Netsim.Faultplan.west = [ "alice" ];
+                    east = [ "leader" ];
+                    from_ = Netsim.Vtime.zero;
+                    heal = Netsim.Vtime.of_s 60;
+                  };
+                ]
+              ()));
+      for _ = 1 to joins do
+        D.join d "alice"
+      done;
+      ignore (D.run ~until:(Netsim.Vtime.of_s 3) d);
+      Alcotest.(check int)
+        (Printf.sprintf "retransmits after %d join(s)" joins)
+        3 (D.retry_stats d).D.handshake_retransmits)
+    [ 1; 2; 3 ]
+
 let suite =
   [
     ( "chaos (fault injection)",
@@ -372,6 +405,8 @@ let suite =
           test_join_under_corruption_and_duplication;
         Alcotest.test_case "50% loss" `Quick test_heavy_loss;
         Alcotest.test_case "partition heals" `Quick test_partition_heals;
+        Alcotest.test_case "one handshake watchdog per member" `Quick
+          test_one_watchdog_per_member;
         Alcotest.test_case "member outage and restart" `Quick
           test_member_outage_and_restart;
         Alcotest.test_case "replay determinism" `Quick test_replay_determinism;

@@ -308,6 +308,45 @@ let test_self_heal_after_spurious_timeout () =
   Alcotest.(check bool) "alice reconnected" true
     (List.mem "alice" (Failover.connected_members t))
 
+(* A primary acts on an escalation at its own tick, not only when its
+   next frame arrives: with every link into it cut, a member the
+   sentinel raises to Quarantined is contained within one tick. *)
+let test_primary_contains_at_tick () =
+  let t =
+    Failover.create ~seed:5L ~intrusion:Sentinel.default_config ~managers
+      ~directory ()
+  in
+  Failover.start t;
+  ignore (Failover.run ~until:(Netsim.Vtime.of_s 2) t);
+  let primary = Option.get (Failover.primary t) in
+  Alcotest.(check bool) "alice joined" true
+    (List.mem "alice" (Leader.members (Failover.leader t primary)));
+  let senders = List.map fst directory @ List.filter (( <> ) primary) managers in
+  Netsim.Network.set_faultplan (Failover.net t)
+    (Some
+       (Netsim.Faultplan.make
+          ~links:
+            (List.map
+               (fun src -> ((src, primary), Netsim.Faultplan.lossy_link 1.0))
+               senders)
+          ()));
+  let sn = Option.get (Failover.sentinel t primary) in
+  let quarantined () =
+    Sentinel.level_rank (Sentinel.level sn "alice")
+    >= Sentinel.level_rank Sentinel.Quarantined
+  in
+  let rec escalate k =
+    if k > 0 && not (quarantined ()) then begin
+      ignore (Sentinel.observe sn ~peer:"alice" Sentinel.Mac_failure);
+      escalate (k - 1)
+    end
+  in
+  escalate 100;
+  Alcotest.(check bool) "alice quarantined on the primary" true (quarantined ());
+  ignore (Failover.run ~until:(Netsim.Vtime.of_ms 2400) t);
+  Alcotest.(check bool) "contained by the tick" false
+    (List.mem "alice" (Leader.members (Failover.leader t primary)))
+
 let suite =
   [
     ( "failover (§7 extension)",
@@ -334,5 +373,7 @@ let suite =
           test_ordering_guarantee_per_manager;
         Alcotest.test_case "self-heal after spurious timeout" `Quick
           test_self_heal_after_spurious_timeout;
+        Alcotest.test_case "primary contains at its tick" `Quick
+          test_primary_contains_at_tick;
       ] );
   ]
