@@ -1,4 +1,4 @@
-.PHONY: all build test verify bench bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis calibrate crash-matrix journal-fuzz doc ci clean
+.PHONY: all build test verify bench bench-smoke bench-diff soak-seeds chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis calibrate crash-matrix journal-fuzz doc ci clean
 
 all: build
 
@@ -22,6 +22,17 @@ bench:
 # and every scenario it constructs still run.
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
+
+# The soak workload is the one benchmark workload that runs the
+# Driver's timers (leader tick, member watchdogs) under loss, offline
+# members and a leader crash; `dune runtest` smoke-runs it for seed 1
+# only. Every seed 1..20 must pass its checks (exit 0), about 3 s.
+soak-seeds:
+	dune build scenario/scenario.exe
+	for s in $$(seq 1 20); do \
+	  ./_build/default/scenario/scenario.exe -w soak-n16 --quick --seed $$s \
+	    > /dev/null || { echo "soak-n16 seed $$s failed"; exit 1; }; \
+	done
 
 # Seeded fault-injection sweep: 5-member joins at 20% loss must
 # converge (bounded virtual time, fixed seeds — fully deterministic).
@@ -160,7 +171,7 @@ doc:
 	  echo "doc: odoc not installed, skipping"; \
 	fi
 
-ci: build test verify bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis crash-matrix journal-fuzz doc
+ci: build test verify bench-smoke bench-diff soak-seeds chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis crash-matrix journal-fuzz doc
 
 clean:
 	dune clean
