@@ -172,6 +172,33 @@ let test_label_tags_distinct () =
     (List.length Frame.all_labels)
     (S.cardinal (S.of_list encs))
 
+(* The texts a peer's malformed input is rejected with, one per
+   decoder: the frame, admin, sealed-payload and AEAD envelopes. *)
+let test_decode_error_texts () =
+  let error name expected = function
+    | Ok _ -> Alcotest.fail (name ^ " decoded")
+    | Error e -> Alcotest.(check string) name expected e
+  in
+  let frame =
+    Frame.encode
+      (Frame.make ~label:Frame.Admin_msg ~sender:"leader" ~recipient:"alice"
+         ~body:"body!")
+  in
+  error "truncated frame" "truncated while reading length-prefixed bytes"
+    (Frame.decode (String.sub frame 0 (String.length frame - 2)));
+  error "unknown label" "malformed unknown frame label 255"
+    (Frame.decode "\xff\x00\x00\x00\x00");
+  error "trailing bytes" "malformed trailing bytes after message"
+    (Admin.decode (Admin.encode (Admin.Member_joined "alice") ^ "x"));
+  let init =
+    Payload.encode_auth_init
+      { Payload.a = "a"; l = "l"; n1 = Nonce.fresh (rng ()) }
+  in
+  error "wrong payload tag" "malformed payload tag 1, expected 3"
+    (Payload.decode_auth_ack_key init);
+  error "truncated sealed blob" "truncated while reading u16"
+    (Sym_crypto.Aead.decode "")
+
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"frame roundtrip" ~count:300
@@ -210,6 +237,7 @@ let suite =
         Alcotest.test_case "frame ad binds header" `Quick
           test_frame_ad_binds_header;
         Alcotest.test_case "label tags distinct" `Quick test_label_tags_distinct;
+        Alcotest.test_case "decode error texts" `Quick test_decode_error_texts;
       ]
       @ List.map QCheck_alcotest.to_alcotest qcheck_tests );
   ]
