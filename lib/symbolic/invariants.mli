@@ -36,10 +36,18 @@ val check_result : Explore.result -> checker -> report list
 val one : Explore.result -> checker -> report
 (** [check_result] for a checker that makes exactly one report. *)
 
-val make_report : string -> int -> string list -> report
-(** [make_report name checked violations] — violations are given
-    newest first, as checkers accumulate them; the report keeps the
-    first five in the order they were found. *)
+type failures
+(** A checker's counterexamples as it finds them. *)
+
+val failures : unit -> failures
+
+val fail : failures -> (unit -> string) -> unit
+(** [fail t render] counts one counterexample; [render] runs only for
+    the first five, so later ones cost no formatting. *)
+
+val make_report : string -> int -> failures -> report
+(** [make_report name checked t] — holds iff [t] counted none; keeps
+    the first five counterexamples in the order they were found. *)
 
 val per_state : (Model.state -> 'a) -> Model.state -> 'a
 (** [per_state f] computes [f] once per state for every checker that

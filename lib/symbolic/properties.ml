@@ -12,14 +12,15 @@ let rec is_prefix xs ys =
 
 (* A single-report streaming checker over a per-state predicate. *)
 let state_checker name check =
-  let checked = ref 0 and violations = ref [] in
+  let checked = ref 0 and failures = Invariants.failures () in
   {
     Invariants.on_state =
       (fun q ->
         incr checked;
-        if not (check q) then violations := describe_state q :: !violations);
+        if not (check q) then
+          Invariants.fail failures (fun () -> describe_state q));
     on_edge = (fun _ _ _ -> ());
-    finish = (fun () -> [ Invariants.make_report name !checked !violations ]);
+    finish = (fun () -> [ Invariants.make_report name !checked failures ]);
   }
 
 let prefix_stream () =
