@@ -62,4 +62,3 @@ let rec in_ideal s f =
   | FAgent _ | FNonce _ | FKey _ | FData _ -> false
 
 let in_coideal s f = not (in_ideal s f)
-let set_in_coideal s fields = Set.for_all (in_coideal s) fields
