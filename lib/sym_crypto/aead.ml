@@ -48,4 +48,4 @@ let decode s =
     let* () = Reader.expect_end r in
     Ok { iv; ciphertext; tag }
   in
-  Result.map_error (Format.asprintf "%a" Reader.pp_error) result
+  Result.map_error (fun e -> Format.asprintf "%a" Reader.pp_error e) result

@@ -108,7 +108,7 @@ let rec decode_at ~depth s =
     let* () = Reader.expect_end r in
     Ok payload
   in
-  Result.map_error (Format.asprintf "%a" Reader.pp_error) result
+  Result.map_error (fun e -> Format.asprintf "%a" Reader.pp_error e) result
 
 let decode s = decode_at ~depth:0 s
 

@@ -173,7 +173,7 @@ let decode s =
         let* () = Reader.expect_end r in
         Ok { label; sender; recipient; body }
   in
-  Result.map_error (Format.asprintf "%a" Reader.pp_error) result
+  Result.map_error (fun e -> Format.asprintf "%a" Reader.pp_error e) result
 
 let header_ad ~label ~sender ~recipient =
   let w = Cursor.Writer.create () in

@@ -55,7 +55,7 @@ let decoded tag s parse =
       let* () = Reader.expect_end r in
       Ok v
   in
-  Result.map_error (Format.asprintf "%a" Reader.pp_error) result
+  Result.map_error (fun e -> Format.asprintf "%a" Reader.pp_error e) result
 
 let nonce w n = Cursor.Writer.raw w (Nonce.raw n)
 
