@@ -433,9 +433,11 @@ let test_truncation_consistent () =
     !visited;
   (* Every edge endpoint is a stored state. *)
   let n = Explore.state_count r in
-  Explore.iter_edges r (fun q _ q' ->
-      let id s = Hashtbl.find r.Explore.index (Model.canon s) in
-      Alcotest.(check bool) "endpoints stored" true (id q < n && id q' < n))
+  Array.iteri
+    (fun e src ->
+      Alcotest.(check bool) "endpoints stored" true
+        (src < n && r.Explore.dst.(e) < n))
+    r.Explore.src
 
 let test_matches_baseline () =
   (* The interned engine visits exactly the states the seed engine
@@ -450,7 +452,8 @@ let test_matches_baseline () =
 
 let test_parallel_deterministic () =
   (* Any jobs value must produce bit-for-bit the same exploration:
-     same states in the same discovery order, same edges. *)
+     same states in the same discovery order, same edges, same BFS
+     tree. *)
   let canons r =
     Array.to_list (Array.map Model.canon r.Explore.states)
   in
@@ -458,14 +461,42 @@ let test_parallel_deterministic () =
   List.iter
     (fun jobs ->
       let r = Explore.run ~config:small_config ~jobs () in
+      let same what a b =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s identical at jobs=%d" what jobs)
+          true (a = b)
+      in
       Alcotest.(check (list string))
         (Printf.sprintf "states identical at jobs=%d" jobs)
         (canons r1) (canons r);
-      Alcotest.(check bool)
-        (Printf.sprintf "edges identical at jobs=%d" jobs)
-        true
-        (r.Explore.edges = r1.Explore.edges))
+      same "edge sources" r.Explore.src r1.Explore.src;
+      same "edge moves" r.Explore.moves r1.Explore.moves;
+      same "edge destinations" r.Explore.dst r1.Explore.dst;
+      same "parents" r.Explore.parent r1.Explore.parent)
     [ 2; 4 ]
+
+let test_bfs_tree () =
+  (* The BFS tree names, for every state but the initial one, the edge
+     that discovered it: an edge into that state from an earlier one.
+     The edges are grouped by source. *)
+  let r = Lazy.force explored_small in
+  Alcotest.(check int) "initial state has no parent" (-1)
+    r.Explore.parent.(0);
+  Array.iteri
+    (fun id e ->
+      if id > 0 then begin
+        Alcotest.(check int) "parent edge reaches the state" id
+          r.Explore.dst.(e);
+        Alcotest.(check bool) "parent edge from an earlier state" true
+          (r.Explore.src.(e) < id)
+      end)
+    r.Explore.parent;
+  Array.iteri
+    (fun e src ->
+      if e > 0 then
+        Alcotest.(check bool) "sources never decrease" true
+          (r.Explore.src.(e - 1) <= src))
+    r.Explore.src
 
 let test_stream_matches_retained () =
   (* Streaming never retains the state set but must see exactly the
@@ -968,7 +999,15 @@ let test_path_to_deep_state () =
             Alcotest.(check bool) "step is a real transition" true found;
             replay next rest
       in
-      replay Model.initial path
+      replay Model.initial path;
+      (* A copy that is not physically in the result is found by its
+         key, with the same path. *)
+      let copy = { q with Model.joins = q.Model.joins } in
+      Alcotest.(check bool) "copy is not the stored state" false (copy == q);
+      Alcotest.(check bool) "same path from a copy" true
+        (List.equal
+           (fun (m, s) (m', s') -> m = m' && s == s')
+           path (Explore.path_to r copy))
 
 let mutant_config_cex mutations =
   {
@@ -1137,6 +1176,7 @@ let suite =
           test_matches_baseline;
         Alcotest.test_case "parallel deterministic" `Quick
           test_parallel_deterministic;
+        Alcotest.test_case "BFS tree and edge order" `Quick test_bfs_tree;
         Alcotest.test_case "stream matches retained" `Quick
           test_stream_matches_retained;
         Alcotest.test_case "deep scenarios reachable" `Quick
