@@ -62,16 +62,13 @@ let equal f g = compare f g = 0
    is itself injective: every value starts with a tag byte that fixes
    what follows. Agents and key kinds are folded into the tag. *)
 
-let encode_int b n =
-  (* LEB128 over the 63 bits of [n]. *)
-  let rec go n =
-    if n land lnot 0x7f = 0 then Buffer.add_uint8 b n
-    else begin
-      Buffer.add_uint8 b (n land 0x7f lor 0x80);
-      go (n lsr 7)
-    end
-  in
-  go n
+(* LEB128 over the 63 bits of [n]. *)
+let rec encode_int b n =
+  if n land lnot 0x7f = 0 then Buffer.add_uint8 b n
+  else begin
+    Buffer.add_uint8 b (n land 0x7f lor 0x80);
+    encode_int b (n lsr 7)
+  end
 
 let encode_key b base = function
   | Pa -> Buffer.add_uint8 b base

@@ -121,9 +121,6 @@ val intruder_knowledge : ?config:config -> state -> Field.Set.t
     configuration when mutations (e.g. [Leak_pa]) extend the initial
     knowledge. *)
 
-val trace_parts : state -> Field.Set.t
-(** [Parts(trace(q))] (with underline): parts of all contents. *)
-
 val in_use : state -> int -> bool
 (** [in_use q k] — the paper's [InUse(Ka_k, q)]: the leader's local
     state mentions session key [k]. *)
