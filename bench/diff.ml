@@ -14,7 +14,10 @@
    statistic. The "sentinel-frontier" (calibration) and "nemesis"
    (soak verdict) groups are not timing output and are skipped. Groups present in only one file are
    reported but never fail the gate — new benches appear and old ones
-   retire as the suite grows. *)
+   retire as the suite grows. Under each group every row is printed
+   with its own min-of-N delta, so a one-row regression that the
+   group's mean hides is visible in the log; rows never fail the
+   gate. *)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -76,7 +79,8 @@ let load path =
          match (str_field line "group", num_field line "ns_per_op") with
          | Some g, Some ns
            when g <> "sentinel-frontier" && g <> "nemesis" && ns > 0.0 ->
-             rows := (g, ns) :: !rows
+             let name = Option.value (str_field line "name") ~default:g in
+             rows := (g, name, ns) :: !rows
          | _ -> ()
      done
    with End_of_file -> close_in ic);
@@ -85,7 +89,7 @@ let load path =
 let geo_means rows =
   let tbl : (string, float * int) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun (g, ns) ->
+    (fun (g, _, ns) ->
       let s, n = Option.value ~default:(0.0, 0) (Hashtbl.find_opt tbl g) in
       Hashtbl.replace tbl g (s +. log ns, n + 1))
     rows;
@@ -123,27 +127,58 @@ let () =
            [--max-regression FRAC]";
         exit 2
   in
-  (* Per-group minimum of the per-run geometric means. *)
-  let min_over paths =
-    let tbl : (string, float) Hashtbl.t = Hashtbl.create 16 in
+  (* Minimum over the runs of each key's value: [key] is the group for
+     the per-run geometric means, (group, name) for the rows. *)
+  let min_over runs =
+    let tbl = Hashtbl.create 64 in
     List.iter
-      (fun path ->
-        List.iter
-          (fun (g, m) ->
-            match Hashtbl.find_opt tbl g with
-            | Some prev when prev <= m -> ()
-            | _ -> Hashtbl.replace tbl g m)
-          (geo_means (load path)))
-      paths;
-    Hashtbl.fold (fun g m acc -> (g, m) :: acc) tbl [] |> List.sort compare
+      (List.iter (fun (key, m) ->
+           match Hashtbl.find_opt tbl key with
+           | Some prev when prev <= m -> ()
+           | _ -> Hashtbl.replace tbl key m))
+      runs;
+    Hashtbl.fold (fun key m acc -> (key, m) :: acc) tbl [] |> List.sort compare
   in
-  let baseline = min_over baseline_paths in
-  let candidate = min_over candidate_paths in
+  let groups runs = min_over (List.map geo_means runs) in
+  let rows runs =
+    min_over (List.map (List.map (fun (g, name, ns) -> ((g, name), ns))) runs)
+  in
+  let baseline_runs = List.map load baseline_paths in
+  let candidate_runs = List.map load candidate_paths in
+  let baseline = groups baseline_runs and candidate = groups candidate_runs in
+  let baseline_rows = rows baseline_runs and candidate_rows = rows candidate_runs in
+  (* The rows of group [g] on both sides, each labelled by its name
+     without the group prefix. *)
+  let show_rows g =
+    let in_group side =
+      List.filter_map (fun ((g', name), _) -> if g' = g then Some name else None) side
+    in
+    let prefix = g ^ "/" in
+    let cut = String.length prefix in
+    List.iter
+      (fun name ->
+        let label =
+          if String.starts_with ~prefix name then
+            "  " ^ String.sub name cut (String.length name - cut)
+          else "  " ^ name
+        in
+        match
+          ( List.assoc_opt (g, name) baseline_rows,
+            List.assoc_opt (g, name) candidate_rows )
+        with
+        | Some base, Some cand ->
+            Printf.printf "%-28s %12.0f %12.0f %+7.1f%%\n" label base cand
+              (100.0 *. (cand -. base) /. base)
+        | None, Some cand -> Printf.printf "%-28s %12s %12.0f %8s\n" label "(new)" cand "-"
+        | Some base, None -> Printf.printf "%-28s %12.0f %12s %8s\n" label base "(gone)" "-"
+        | None, None -> ())
+      (List.sort_uniq compare (in_group baseline_rows @ in_group candidate_rows))
+  in
   let failures = ref 0 in
   Printf.printf "%-28s %12s %12s %8s\n" "group" "baseline" "candidate" "delta";
   List.iter
     (fun (g, cand) ->
-      match List.assoc_opt g baseline with
+      (match List.assoc_opt g baseline with
       | None -> Printf.printf "%-28s %12s %12.0f %8s\n" g "(new)" cand "-"
       | Some base ->
           let delta = (cand -. base) /. base in
@@ -151,7 +186,8 @@ let () =
           if regressed then incr failures;
           Printf.printf "%-28s %12.0f %12.0f %+7.1f%%%s\n" g base cand
             (100.0 *. delta)
-            (if regressed then "  REGRESSION" else ""))
+            (if regressed then "  REGRESSION" else ""));
+      show_rows g)
     candidate;
   List.iter
     (fun (g, base) ->
