@@ -255,9 +255,7 @@ let failover_tests =
       Enclaves.Failover.heartbeat_period = Netsim.Vtime.of_ms 100;
       failure_timeout = Netsim.Vtime.of_ms 400;
       check_period = Netsim.Vtime.of_ms 100;
-      retry_budget = 2;
       failback_after = Netsim.Vtime.of_ms 800;
-      repl_heartbeat_period = Netsim.Vtime.of_ms 100;
       warm_failover = true;
     }
   in

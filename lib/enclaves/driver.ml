@@ -623,14 +623,14 @@ module Improved = struct
   let disk_bytes_used t =
     match Node.fault t.node with Some f -> Store.Fault.bytes_used f | None -> 0
 
-  let resource_counters ?(repl_snapshots = 0) t =
+  let resource_counters t =
     let f = fault_counters t and n = Node.totals t.node in
     [
       ("degraded_entries", n.Node.leader.Leader.degraded_entries);
       ("records_shed", n.Node.delivery.Delivery.records_shed);
       ("enospc_hits", f.Store.Fault.enospc_hits);
       ("fsync_stall_ms_max", f.Store.Fault.fsync_stall_ms_max);
-      ("repl_lag_snapshots", repl_snapshots);
+      ("repl_lag_snapshots", 0);
     ]
 
   (* --- intrusion containment --- *)

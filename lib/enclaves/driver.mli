@@ -233,14 +233,13 @@ module Improved : sig
   (** Bytes the fault layer currently accounts to the simulated disk
       (0 without [storage_faults]). *)
 
-  val resource_counters : ?repl_snapshots:int -> t -> (string * int) list
+  val resource_counters : t -> (string * int) list
   (** Resource-pressure counters summed across leader incarnations,
       labelled for {!Netsim.Stats.pp_named}: ladder entries
       ([degraded_entries]), records shed under byte budgets, ENOSPC
       refusals and the worst fsync stall from the fault layer. The
-      driver does not own a replication source, so [repl_snapshots]
-      (default 0) lets the harness fill in
-      {!Replication.Source.lag_snapshots}. *)
+      [repl_lag_snapshots] row is always 0: the driver runs no
+      replication source. *)
 
   val sessions_recovered : t -> int
   (** Sessions restored warm (challenge answered), summed across all

@@ -49,12 +49,26 @@ type counters = {
   mutable cold_reauths : int;
   mutable beacon_reauths : int;
   mutable divergences : int;
+  mutable failovers : int;
+  mutable failbacks : int;
 }
 
 (* The handshake alarm the watchdog asks for next: none, a fresh one
    (a new handshake started; the delay restarts at the first retry),
    or a backed-off one after the given delay. *)
 type wake = Idle | Fresh | After of Netsim.Vtime.t
+
+(* The manager watch, kept from a member's first [retarget] on: whether
+   anything proved the manager alive since the last alarm, the silence
+   so far in alarm periods, the silent timeouts probed on this manager,
+   and how long the member has stayed connected away from the primary
+   ([None] while it has not). *)
+type watch = {
+  mutable heard : bool;
+  mutable quiet : Netsim.Vtime.t;
+  mutable probes : int;
+  mutable away : Netsim.Vtime.t option;
+}
 
 type t = {
   self : Types.agent;
@@ -95,6 +109,7 @@ type t = {
   mutable digests_seen : int;
   mutable last_seen : int;
   mutable silent : Netsim.Vtime.t;
+  mutable watch : watch option;
   counts : counters;  (* cumulative across sessions *)
   (* Store-and-forward delivery state (cumulative across sessions —
      the floor MUST survive a session reset, or a redelivery after a
@@ -131,6 +146,7 @@ let create_with_key ~self ~leader ~long_term ~rng =
     digests_seen = 0;
     last_seen = 0;
     silent = Netsim.Vtime.zero;
+    watch = None;
     counts =
       {
         handshake_retransmits = 0;
@@ -139,6 +155,8 @@ let create_with_key ~self ~leader ~long_term ~rng =
         cold_reauths = 0;
         beacon_reauths = 0;
         divergences = 0;
+        failovers = 0;
+        failbacks = 0;
       };
     delivery_floor = 0;
     deliveries_deduped = 0;
@@ -173,7 +191,21 @@ let drain_events t =
   t.events_rev <- [];
   es
 
-let emit t e = t.events_rev <- e :: t.events_rev
+(* The manager watch counts every event that proves the manager alive;
+   a warm handoff also restarts its fail-back clock. *)
+let emit t e =
+  (match t.watch with
+  | Some w -> (
+      match e with
+      | Joined _ | Admin_accepted _ | Cold_beacon_challenged _
+      | Beacon_reset _ ->
+          w.heard <- true
+      | Recovery_challenged _ ->
+          w.heard <- true;
+          w.away <- None
+      | App_received _ | Left | View_diverged _ | Rejected _ -> ())
+  | None -> ());
+  t.events_rev <- e :: t.events_rev
 
 let reject t ?label reason =
   emit t (Rejected { label; reason });
@@ -227,6 +259,23 @@ let leave t =
       reset_session t;
       [ frame ]
   | S_not_connected | S_waiting_for_key _ -> []
+
+(* Close the session, or drop a pending handshake, and join [leader]
+   with the same automaton: the delivery floor, the logs and the
+   counters carry over. (Re)starts the manager watch. *)
+let retarget t ~leader =
+  let close =
+    match t.state with
+    | S_connected _ -> leave t
+    | S_waiting_for_key _ ->
+        reset_session t;
+        []
+    | S_not_connected -> []
+  in
+  t.leader <- leader;
+  t.watch <-
+    Some { heard = false; quiet = Netsim.Vtime.zero; probes = 0; away = None };
+  close @ join t
 
 let own_epoch t =
   match t.group_key with Some { Types.epoch; _ } -> epoch | None -> 0
@@ -599,10 +648,12 @@ let receive t bytes =
 (* --- the watchdog --- *)
 
 (* The handshake alarm's first delay, cap and jitter; the delay
-   doubles at each alarm. *)
+   doubles at each alarm. The manager alarm probes a silent manager at
+   this many timeouts before it moves on. *)
 let first_retry = Netsim.Vtime.of_ms 250
 let max_retry = Netsim.Vtime.of_s 4
 let jitter = 0.2
+let manager_probes = 2
 
 type alarm =
   | Handshake
@@ -610,6 +661,13 @@ type alarm =
       beacon_period : Netsim.Vtime.t;
       probe_after : Netsim.Vtime.t;
       reset_after : Netsim.Vtime.t;
+    }
+  | Manager of {
+      period : Netsim.Vtime.t;
+      timeout : Netsim.Vtime.t;
+      failback_after : Netsim.Vtime.t;
+      primary : Types.agent option;
+      next : Types.agent option;
     }
 
 let scale time f = Int64.of_float (Int64.to_float time *. f)
@@ -694,7 +752,55 @@ let silence_alarm t ~beacon_period ~probe_after ~reset_after =
     else []
   end
 
+(* One check period of the manager watch. A member silent for [timeout]
+   may only have a slow manager: it probes at the first [manager_probes]
+   timeouts, then fails over to [next]. Fail-back is only from a live
+   session: a silent one is the failover's business. *)
+let manager_alarm t w ~period ~timeout ~failback_after ~primary ~next =
+  if w.heard then begin
+    w.heard <- false;
+    w.quiet <- Netsim.Vtime.zero;
+    w.probes <- 0
+  end
+  else w.quiet <- Int64.add w.quiet period;
+  if Netsim.Vtime.(w.quiet < timeout) then
+    match primary with
+    | Some p when is_connected t && p <> t.leader ->
+        let away =
+          match w.away with Some a -> Int64.add a period | None -> 0L
+        in
+        if Netsim.Vtime.(failback_after <= away) then begin
+          t.counts.failbacks <- t.counts.failbacks + 1;
+          retarget t ~leader:p
+        end
+        else begin
+          w.away <- Some away;
+          []
+        end
+    | Some _ | None ->
+        w.away <- None;
+        []
+  else begin
+    w.away <- None;
+    if w.probes < manager_probes then begin
+      w.probes <- w.probes + 1;
+      w.quiet <- Netsim.Vtime.zero;
+      retransmit_join t
+    end
+    else
+      match next with
+      | Some leader ->
+          t.counts.failovers <- t.counts.failovers + 1;
+          retarget t ~leader
+      | None -> []
+  end
+
 let tick t = function
   | Handshake -> handshake_alarm t
   | Silence { beacon_period; probe_after; reset_after } ->
       silence_alarm t ~beacon_period ~probe_after ~reset_after
+  | Manager { period; timeout; failback_after; primary; next } -> (
+      match t.watch with
+      | Some w ->
+          manager_alarm t w ~period ~timeout ~failback_after ~primary ~next
+      | None -> [])

@@ -81,8 +81,8 @@ val self : t -> Types.agent
 
 val leader : t -> Types.agent
 (** The manager this member currently follows — the [leader] it was
-    created with until a warm handoff retargets it (see
-    [Recovery_challenged]). *)
+    created with until {!retarget} or a warm handoff (see
+    [Recovery_challenged]) moves it. *)
 
 val state : t -> state_view
 val is_connected : t -> bool
@@ -92,15 +92,15 @@ val join : t -> Wire.Frame.t list
     unless [NotConnected]. Either way it (re)starts the handshake
     watchdog (see {!tick}). *)
 
-val retransmit_join : t -> Wire.Frame.t list
-(** The stored [AuthInitReq] of the outstanding handshake, for
-    timeout-driven retransmission; empty unless [WaitingForKey]. The
-    same frame (same [N1]) is re-sent, so the leader recognises the
-    duplicate and answers with its stored [AuthKeyDist]. *)
-
 val leave : t -> Wire.Frame.t list
 (** Emit [ReqClose] sealed under [K_a] and drop to [NotConnected].
     No-op unless connected. *)
+
+val retarget : t -> leader:Types.agent -> Wire.Frame.t list
+(** Leave the current manager — [ReqClose] to it when connected, a
+    pending handshake dropped — and {!join} [leader], keeping the
+    delivery floor, logs and counters. Also (re)starts the [Manager]
+    alarm (see {!tick}), which a member never retargeted ignores. *)
 
 val receive : t -> string -> Wire.Frame.t list
 (** Feed raw network bytes; returns frames to send in response. *)
@@ -145,14 +145,30 @@ val session_key : t -> Sym_crypto.Key.t option
 
 (** {2 The watchdog}
 
-    One per member, with two alarms. The {e handshake} alarm re-sends
+    One per member, with three alarms. The {e handshake} alarm re-sends
     the pending [AuthInitReq] (behind a reset's close) after 250 ms,
     doubling up to 4 s, each wake jittered by a factor in [0.8, 1.2];
     a session still keyless at two alarms in a row is closed and
     restarted; a keyed member's alarm stops. The {e silence} alarm goes
     off every [beacon_period]: a keyed member that saw no [View_digest]
     for [probe_after] probes with a [ViewResyncReq] each period, and
-    after [reset_after] re-authenticates from scratch. *)
+    after [reset_after] re-authenticates from scratch.
+
+    The {e manager} alarm is the failure detector of a member of a
+    multi-manager group ({!Failover}), active once {!retarget} started
+    it. It goes off every [period] and counts the silence in periods;
+    a [Joined], [Admin_accepted], [Recovery_challenged],
+    [Cold_beacon_challenged] or [Beacon_reset] event restarts the
+    count. At the first two silent timeouts the manager may only be
+    {e slow}: the member re-sends its pending [AuthInitReq] (same
+    frame, same [N1]). At the third it fails over to [next] (with
+    [None], it stays put). A connected member that is not silent but
+    away from [primary] fails back to it after [failback_after],
+    counted from the first alarm that saw it away (a warm handoff
+    restarts that clock), so a healed partition reconverges to one
+    group. The patience gives a warm-promoted successor its window:
+    its recovery challenge restarts the count long before a cold
+    failover. *)
 
 type alarm =
   | Handshake
@@ -160,6 +176,17 @@ type alarm =
       beacon_period : Netsim.Vtime.t;
       probe_after : Netsim.Vtime.t;
       reset_after : Netsim.Vtime.t;  (** Must exceed [probe_after]. *)
+    }
+  | Manager of {
+      period : Netsim.Vtime.t;  (** How often the alarm goes off. *)
+      timeout : Netsim.Vtime.t;
+          (** Silence after which the member suspects its manager; a
+              whole number of periods. *)
+      failback_after : Netsim.Vtime.t;
+      primary : Types.agent option;
+          (** The manager the group should converge on, if any is up. *)
+      next : Types.agent option;
+          (** The live manager to fail over to, if any. *)
     }
 
 val tick : t -> alarm -> Wire.Frame.t list
@@ -180,6 +207,8 @@ type counters = {
       (** Rejoins through a cold-restart beacon instead of the silence
           watch. *)
   mutable divergences : int;  (** Beacons that mismatched this member's view. *)
+  mutable failovers : int;  (** Silent managers left for [next]. *)
+  mutable failbacks : int;  (** Returns to the primary. *)
 }
 
 val counters : t -> counters

@@ -283,8 +283,6 @@ module Source = struct
   let lag t =
     List.map (fun b -> (b, max 0 (t.next_seq - acked t b))) t.backups
 
-  let lag_snapshots t = t.counters.lag_snapshots
-
   (* The longest journal byte-prefix some backup acknowledged under
      this term — what a demoting source keeps when it discards its
      divergent suffix. When the best ack predates the last compaction,
@@ -433,11 +431,17 @@ module Replica = struct
     mutable term : int;
     mutable expected : int;
     mutable fresh_activity : bool;
+    (* The promotion watchdog: the primary's silence so far, counted in
+       watchdog periods, and whether a demoted manager still awaits the
+       live term's first snapshot. *)
+    mutable quiet : Netsim.Vtime.t;
+    mutable catching_up : bool;
   }
 
   let file = "journal_replica"
 
-  let create ~self ~primary ~key ~rng ?disk ?(term = 0) ?counters () =
+  let create ~self ~primary ~key ~rng ?disk ?(term = 0) ?(catching_up = false)
+      ?counters () =
     let counters = match counters with Some c -> c | None -> fresh_counters () in
     {
       self;
@@ -452,17 +456,35 @@ module Replica = struct
       term;
       expected = 0;
       fresh_activity = false;
+      quiet = Netsim.Vtime.zero;
+      catching_up;
     }
 
   let contents t = Buffer.contents t.buf
-  let primary t = t.primary
   let term t = t.term
   let expected t = t.expected
+  let quiet t = t.quiet
+  let catching_up t = t.catching_up
 
   let take_activity t =
     let a = t.fresh_activity in
     t.fresh_activity <- false;
     a
+
+  (* A liveness-proving frame since the last period restarts the
+     silence count, and ends a demoted replica's catch-up once the live
+     term's first snapshot has landed — promoting an empty replica
+     would cold-restart the very group it just rejoined. *)
+  let tick t ~period ~after =
+    if take_activity t then begin
+      t.quiet <- Netsim.Vtime.zero;
+      if t.expected > 0 then t.catching_up <- false;
+      false
+    end
+    else begin
+      t.quiet <- Int64.add t.quiet period;
+      (not t.catching_up) && Netsim.Vtime.(after <= t.quiet)
+    end
 
   let seal_to t ~recipient ~label payload =
     Sealed_channel.seal ~rng:t.rng ~key:t.key ~label ~sender:t.self ~recipient

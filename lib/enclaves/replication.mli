@@ -90,8 +90,7 @@ val fresh_counters : unit -> counters
 
 val named : counters -> (string * int) list
 (** Labelled counters for {!Netsim.Stats.pp_named}, in declaration
-    order — all but [lag_snapshots], which the resource counters
-    report as [repl_lag_snapshots]. *)
+    order — all but [lag_snapshots]. *)
 
 module Source : sig
   type t
@@ -172,9 +171,6 @@ module Source : sig
   (** True once authentic higher-term evidence has arrived (the
       [on_superseded] callback has fired). *)
 
-  val acked : t -> Types.agent -> int
-  (** Highest cumulative ack received from a backup this term. *)
-
   val acked_prefix : t -> int
   (** Byte length of the longest journal prefix some backup
       acknowledged under this term — what a demoting source keeps when
@@ -185,10 +181,6 @@ module Source : sig
 
   val lag : t -> (Types.agent * int) list
   (** Per-backup lag in records: frontier minus acked. *)
-
-  val lag_snapshots : t -> int
-  (** Snapshot escalations forced by [lag_budget] so far (reads the
-      shared counter). *)
 
   val stats : t -> counters
   (** A copy of the shared counters. *)
@@ -204,6 +196,7 @@ module Replica : sig
     rng:Prng.Splitmix.t ->
     ?disk:Store.Backend.t ->
     ?term:int ->
+    ?catching_up:bool ->
     ?counters:counters ->
     unit ->
     t
@@ -215,7 +208,10 @@ module Replica : sig
       automatically, so [primary] is only the initial expectation.
       [term] (default 0) is the floor below which streams are rejected
       as stale — a freshly demoted manager seeds it with the term that
-      demoted it, so replays of its own dead stream cannot re-adopt. *)
+      demoted it, so replays of its own dead stream cannot re-adopt,
+      and sets [catching_up] (default [false]): such a replica cannot
+      promote until the live term's first snapshot has landed (see
+      {!tick}). *)
 
   val handle_frame : t -> Wire.Frame.t -> Wire.Frame.t list
   (** Apply one [Repl_record] frame; returns the ack/fetch frames to
@@ -238,16 +234,25 @@ module Replica : sig
       [Repl_suspicion] ops — what promotion hands to
       {!Sentinel.import} so the successor keeps quarantines. *)
 
-  val primary : t -> Types.agent
-  (** Whose stream the replica currently follows (updates on term
-      adoption). *)
-
   val term : t -> int
   val expected : t -> int
 
   val take_activity : t -> bool
   (** True iff a liveness-proving frame arrived since the last call
       (reads destructively) — the promotion watchdog's input. *)
+
+  val tick : t -> period:Netsim.Vtime.t -> after:Netsim.Vtime.t -> bool
+  (** One period of the promotion watchdog: true iff the replica should
+      promote now, after [after] of silence counted in periods. A
+      liveness-proving frame ({!take_activity}) restarts the count and
+      ends a catch-up once the live term's first snapshot landed. *)
+
+  val quiet : t -> Netsim.Vtime.t
+  (** The primary's silence so far, a whole number of {!tick} periods. *)
+
+  val catching_up : t -> bool
+  (** A demoted replica still awaiting the live term's first snapshot
+      (see [catching_up] in {!create}). *)
 
   val stats : t -> counters
   (** A copy of the shared counters. *)

@@ -343,6 +343,61 @@ let test_failover_successor_drains () =
     (strictly_increasing (Member.queued_applied m));
   ignore stats
 
+(* A cold failover applies no queued record twice. The member applies
+   records drained by the primary, which then crashes before their acks
+   reach the backups; the cold successor rebuilds the queue from its
+   replica and drains those records again, and only the member's
+   delivery floor can absorb them. Every automaton [Failover.member]
+   returns during the run counts, so a harness that swaps in a fresh
+   automaton (floor 0) at a switch shows the duplicate. *)
+let test_cold_failover_applies_once () =
+  let module FO = Failover in
+  let t =
+    FO.create ~seed:1L
+      ~config:{ FO.default_config with FO.warm_failover = false }
+      ~delivery:{ Delivery.width = 10; on_stale = Reject }
+      ~managers:[ "m0"; "m1"; "m2" ] ~directory:(directory 4) ()
+  in
+  let seen = ref [] in
+  let current () =
+    let m = FO.member t "user1" in
+    if not (List.memq m !seen) then seen := m :: !seen;
+    m
+  in
+  (* An absolute cursor: [run ~until] leaves the clock at the last
+     executed event. *)
+  let cursor = ref Netsim.Vtime.zero in
+  let advance ms =
+    for _ = 1 to ms do
+      cursor := Netsim.Vtime.add !cursor (Netsim.Vtime.of_ms 1);
+      ignore (FO.run ~until:!cursor t);
+      ignore (current ())
+    done
+  in
+  FO.start t;
+  advance 2000;
+  FO.expel t "user1";
+  for _ = 1 to 6 do
+    FO.rekey t;
+    advance 300
+  done;
+  while
+    List.length (Member.queued_applied (current ())) < 2
+    && Netsim.Vtime.(!cursor < Netsim.Vtime.of_s 30)
+  do
+    advance 1
+  done;
+  Alcotest.(check bool)
+    "two queued records applied before the crash" true
+    (List.length (Member.queued_applied (current ())) >= 2);
+  FO.crash_primary t;
+  advance 25_000;
+  let applied = List.concat_map Member.queued_applied (List.rev !seen) in
+  Alcotest.(check (list int))
+    "no queued record applied twice"
+    (List.sort_uniq compare applied)
+    (List.sort compare applied)
+
 (* --- crash matrix and symbolic model --- *)
 
 let test_crash_matrix_queue () =
@@ -441,6 +496,8 @@ let suite =
           test_queue_survives_leader_crash;
         Alcotest.test_case "failover successor drains the backlog" `Quick
           test_failover_successor_drains;
+        Alcotest.test_case "cold failover applies no record twice" `Quick
+          test_cold_failover_applies_once;
         Alcotest.test_case "queue crash matrix passes" `Quick
           test_crash_matrix_queue;
         Alcotest.test_case "symbolic delivery model holds" `Quick

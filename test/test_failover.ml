@@ -15,9 +15,7 @@ let quick_config =
     Failover.heartbeat_period = Netsim.Vtime.of_ms 100;
     failure_timeout = Netsim.Vtime.of_ms 400;
     check_period = Netsim.Vtime.of_ms 100;
-    retry_budget = 2;
     failback_after = Netsim.Vtime.of_ms 800;
-    repl_heartbeat_period = Netsim.Vtime.of_ms 100;
     warm_failover = true;
   }
 
@@ -347,6 +345,124 @@ let test_primary_contains_at_tick () =
   Alcotest.(check bool) "contained by the tick" false
     (List.mem "alice" (Leader.members (Failover.leader t primary)))
 
+(* --- the manager alarm as automaton moves (no simulator) --- *)
+
+(* A 100 ms alarm: 400 ms timeout, 800 ms fail-back, m0 the primary. *)
+let manager ?(next = Some "m1") () =
+  Member.Manager
+    {
+      period = Netsim.Vtime.of_ms 100;
+      timeout = Netsim.Vtime.of_ms 400;
+      failback_after = Netsim.Vtime.of_ms 800;
+      primary = Some "m0";
+      next;
+    }
+
+(* The frames of [n] alarms in a row, each alarm's encoded. *)
+let alarms ?next m n =
+  List.init n (fun _ ->
+      List.map Wire.Frame.encode (Member.tick m (manager ?next ())))
+
+let sent frames =
+  List.map
+    (fun (f : Wire.Frame.t) ->
+      (Wire.Frame.label_to_string f.label, f.recipient))
+    frames
+
+let lone_member () =
+  Member.create ~self:"alice" ~leader:"m0" ~password:"pw-a"
+    ~rng:(Prng.Splitmix.create 3L)
+
+(* Alice in session with a real manager [leader], over a synchronous
+   router. *)
+let in_session leader =
+  let rng = Prng.Splitmix.create 3L in
+  let l = Leader.create ~self:leader ~rng ~directory () in
+  let m = Member.create ~self:"alice" ~leader ~password:"pw-a" ~rng in
+  let router = Test_util.improved_router l [ ("alice", m) ] in
+  Test_util.route router (Member.retarget m ~leader);
+  Alcotest.(check bool) "alice in session" true (Member.is_connected m);
+  let beat () =
+    Test_util.route router (Leader.broadcast_admin l (Wire.Admin.Notice "hb"))
+  in
+  (m, beat)
+
+let failovers m = (Member.counters m).Member.failovers
+let failbacks m = (Member.counters m).Member.failbacks
+let frames = Alcotest.(list (list string))
+let labelled = Alcotest.(list (pair string string))
+
+let test_alarm_probes_then_fails_over () =
+  let m = lone_member () in
+  let init = Member.retarget m ~leader:"m0" in
+  Alcotest.(check labelled) "joins m0" [ ("AuthInitReq", "m0") ] (sent init);
+  let probe = List.map Wire.Frame.encode init in
+  Alcotest.(check frames) "the same AuthInitReq at the first two timeouts"
+    (List.init 11 (fun i -> if i = 3 || i = 7 then probe else []))
+    (alarms m 11);
+  Alcotest.(check labelled) "a new AuthInitReq to next at the third"
+    [ ("AuthInitReq", "m1") ]
+    (sent (Member.tick m (manager ())));
+  Alcotest.(check string) "follows next" "m1" (Member.leader m);
+  Alcotest.(check int) "one failover" 1 (failovers m)
+
+let test_alarm_admin_restarts_count () =
+  let m, beat = in_session "m0" in
+  Alcotest.(check frames) "silent but one alarm short of failing over"
+    (List.init 12 (fun _ -> []))
+    (alarms m 12);
+  beat ();
+  ignore (alarms m 12);
+  Alcotest.(check string) "the accepted AdminMsg restarted the count" "m0"
+    (Member.leader m);
+  Alcotest.(check int) "no failover yet" 0 (failovers m);
+  Alcotest.(check labelled) "fails over three timeouts later"
+    [ ("ReqClose", "m0"); ("AuthInitReq", "m1") ]
+    (sent (Member.tick m (manager ())))
+
+let test_alarm_fails_back () =
+  let m, beat = in_session "m1" in
+  let away =
+    List.init 8 (fun _ ->
+        beat ();
+        Member.tick m (manager ~next:(Some "m2") ()))
+  in
+  Alcotest.(check int) "stays until failback_after" 0
+    (List.length (List.concat away));
+  beat ();
+  Alcotest.(check labelled) "closes the old session, then joins the primary"
+    [ ("ReqClose", "m1"); ("AuthInitReq", "m0") ]
+    (sent (Member.tick m (manager ~next:(Some "m2") ())));
+  Alcotest.(check string) "follows the primary" "m0" (Member.leader m);
+  Alcotest.(check int) "one failback" 1 (failbacks m)
+
+let test_alarm_silent_does_not_fail_back () =
+  let m, _ = in_session "m1" in
+  ignore (alarms ~next:(Some "m2") m 12);
+  Alcotest.(check int) "no failback from a silent session" 0 (failbacks m);
+  Alcotest.(check labelled) "it fails over to next instead"
+    [ ("ReqClose", "m1"); ("AuthInitReq", "m2") ]
+    (sent (Member.tick m (manager ~next:(Some "m2") ())));
+  Alcotest.(check int) "still no failback" 0 (failbacks m)
+
+let test_alarm_without_next_stays () =
+  let m = lone_member () in
+  let probe = List.map Wire.Frame.encode (Member.retarget m ~leader:"m0") in
+  Alcotest.(check frames) "two probes, then nothing"
+    (List.init 40 (fun i -> if i = 3 || i = 7 then probe else []))
+    (alarms ~next:None m 40);
+  Alcotest.(check string) "stays put" "m0" (Member.leader m);
+  Alcotest.(check int) "no failover" 0 (failovers m)
+
+let test_alarm_ignores_unretargeted () =
+  let m = lone_member () in
+  ignore (Member.join m);
+  Alcotest.(check frames) "a Driver member gets no frames"
+    (List.init 40 (fun _ -> []))
+    (alarms m 40);
+  Alcotest.(check string) "stays put" "m0" (Member.leader m);
+  Alcotest.(check int) "no failover" 0 (failovers m)
+
 let suite =
   [
     ( "failover (§7 extension)",
@@ -375,5 +491,17 @@ let suite =
           test_self_heal_after_spurious_timeout;
         Alcotest.test_case "primary contains at its tick" `Quick
           test_primary_contains_at_tick;
+        Alcotest.test_case "alarm: probes twice, then fails over" `Quick
+          test_alarm_probes_then_fails_over;
+        Alcotest.test_case "alarm: an accepted AdminMsg restarts the count"
+          `Quick test_alarm_admin_restarts_count;
+        Alcotest.test_case "alarm: fails back to the primary" `Quick
+          test_alarm_fails_back;
+        Alcotest.test_case "alarm: a silent member does not fail back" `Quick
+          test_alarm_silent_does_not_fail_back;
+        Alcotest.test_case "alarm: without next, stays put" `Quick
+          test_alarm_without_next_stays;
+        Alcotest.test_case "alarm: ignores a member never retargeted" `Quick
+          test_alarm_ignores_unretargeted;
       ] );
   ]

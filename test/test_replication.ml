@@ -620,6 +620,51 @@ let test_vault_saves_beacon_epoch () =
   Alcotest.(check int) "nobody paid the watchdog" 0 rs.D.cold_reauths;
   Alcotest.(check bool) "views converged" true (D.view_converged d)
 
+(* --- the promotion watchdog as replica moves --- *)
+
+let watchdog_ticks r n =
+  List.init n (fun _ ->
+      Replication.Replica.tick r ~period:(Netsim.Vtime.of_ms 100)
+        ~after:(Netsim.Vtime.of_ms 400))
+
+let test_replica_promotes_at_threshold () =
+  let p = make_pair () in
+  pump p;
+  Alcotest.(check (list bool))
+    "the snapshot is liveness; four silent periods promote"
+    [ false; false; false; false; true ]
+    (watchdog_ticks p.replica 5);
+  Alcotest.(check int64) "exactly at the threshold" (Netsim.Vtime.of_ms 400)
+    (Replication.Replica.quiet p.replica);
+  List.iter (J.append p.journal) (sample_records 1);
+  pump p;
+  Alcotest.(check (list bool))
+    "an accepted record restarts the count"
+    [ false; false; false; false; true ]
+    (watchdog_ticks p.replica 5)
+
+let test_demoted_replica_waits_for_snapshot () =
+  let p = make_pair () in
+  let snapshot = Queue.pop p.outq in
+  Replication.Source.heartbeat p.source;
+  let heartbeat = Queue.pop p.outq in
+  let r =
+    Replication.Replica.create ~self:"b1" ~primary:"m0" ~key:p.key ~rng:p.rng
+      ~term:1 ~catching_up:true ()
+  in
+  (* The heartbeat proves a frontier ahead: liveness, but no snapshot. *)
+  ignore (Replication.Replica.handle_frame r heartbeat);
+  Alcotest.(check bool) "no promotion before the first snapshot" false
+    (List.exists Fun.id (watchdog_ticks r 20));
+  Alcotest.(check bool) "still catching up" true
+    (Replication.Replica.catching_up r);
+  ignore (Replication.Replica.handle_frame r snapshot);
+  Alcotest.(check (list bool))
+    "promotable once the snapshot landed"
+    [ false; false; false; false; true ]
+    (watchdog_ticks r 5);
+  Alcotest.(check bool) "caught up" false (Replication.Replica.catching_up r)
+
 (* --- warm failover under seeded network faults --- *)
 
 let fo_directory = [ ("alice", "pw-a"); ("bob", "pw-b"); ("carol", "pw-c") ]
@@ -629,9 +674,7 @@ let fo_config =
     Failover.heartbeat_period = Netsim.Vtime.of_ms 100;
     failure_timeout = Netsim.Vtime.of_ms 400;
     check_period = Netsim.Vtime.of_ms 100;
-    retry_budget = 2;
     failback_after = Netsim.Vtime.of_ms 800;
-    repl_heartbeat_period = Netsim.Vtime.of_ms 100;
     warm_failover = true;
   }
 
@@ -705,7 +748,7 @@ let test_repl_lag_observable () =
       Alcotest.(check bool)
         (Printf.sprintf "%s heard the primary recently" b)
         true
-        Netsim.Vtime.(silence <= fo_config.Failover.repl_heartbeat_period))
+        Netsim.Vtime.(silence <= fo_config.Failover.heartbeat_period))
     (Failover.replication_silence t)
 
 let suite =
@@ -740,6 +783,10 @@ let suite =
         Alcotest.test_case "vault: total on junk" `Quick test_vault_total_on_junk;
         Alcotest.test_case "vault saves the beacon epoch (E19b)" `Quick
           test_vault_saves_beacon_epoch;
+        Alcotest.test_case "watchdog: promotes at its threshold" `Quick
+          test_replica_promotes_at_threshold;
+        Alcotest.test_case "watchdog: a demoted replica awaits its snapshot"
+          `Quick test_demoted_replica_waits_for_snapshot;
         Alcotest.test_case "warm failover under loss" `Quick
           test_warm_failover_under_loss;
         Alcotest.test_case "replication lag observable" `Quick
