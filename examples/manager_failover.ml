@@ -31,6 +31,15 @@ let show t label =
       | None -> Printf.printf "    %-6s -> (reconnecting)\n" name)
     directory
 
+(* The messages a member delivered since its events were last drained. *)
+let app_log t who =
+  String.concat "; "
+    (List.filter_map
+       (function
+         | Member.App_received { author; body } -> Some (author ^ ": " ^ body)
+         | _ -> None)
+       (Member.drain_events (Failover.member t who)))
+
 let run_for t ms =
   ignore
     (Failover.run
@@ -50,11 +59,7 @@ let () =
 
   Failover.send_app t "alice" "agenda for today";
   run_for t 500;
-  Printf.printf "\n  bob's app log: %s\n"
-    (String.concat "; "
-       (List.map
-          (fun (a, b) -> a ^ ": " ^ b)
-          (Member.app_log (Failover.member t "bob"))));
+  Printf.printf "\n  bob's app log: %s\n" (app_log t "bob");
 
   print_endline "\n-- crash the primary --";
   Failover.crash_primary t;
@@ -70,11 +75,7 @@ let () =
 
   Failover.send_app t "carol" "we survived";
   run_for t 1000;
-  Printf.printf "\n  dave's app log after failover: %s\n"
-    (String.concat "; "
-       (List.map
-          (fun (a, b) -> a ^ ": " ^ b)
-          (Member.app_log (Failover.member t "dave"))));
+  Printf.printf "\n  dave's app log after failover: %s\n" (app_log t "dave");
 
   let ok =
     List.length (Failover.connected_members t) = List.length directory

@@ -40,8 +40,11 @@ let () =
     (fun who ->
       let m = D.member d who in
       List.iter
-        (fun (author, body) -> Printf.printf "  %s received <%s: %s>\n" who author body)
-        (Enclaves.Member.app_log m))
+        (function
+          | Enclaves.Member.App_received { author; body } ->
+              Printf.printf "  %s received <%s: %s>\n" who author body
+          | _ -> ())
+        (Enclaves.Member.drain_events m))
     [ "bob"; "carol" ];
 
   print_endline "\n-- leader rekeys the group --";

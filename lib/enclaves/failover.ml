@@ -117,13 +117,10 @@ let send_frames t ~src frames =
       Netsim.Network.send t.net ~src ~dst:frame.F.recipient (F.encode frame))
     frames
 
-(* Nothing here reads a member's events: drop them, or the log grows by
-   every heartbeat for the whole run. *)
 let attach_member t m =
   let who = Member.self m in
   Netsim.Network.register t.net who (fun bytes ->
-      send_frames t ~src:who (Member.receive m bytes);
-      ignore (Member.drain_events m))
+      send_frames t ~src:who (Member.receive m bytes))
 
 (* Manager frame routing: replication frames go to the replication
    plane, everything else to the leader automaton. Undecodable bytes

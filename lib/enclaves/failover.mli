@@ -253,7 +253,9 @@ val manager_of : t -> Types.agent -> Types.agent option
 
 val member : t -> Types.agent -> Member.t
 (** A member's automaton — the same one from {!create} to the end of
-    the run. *)
+    the run. Nothing here drains its events: a caller that reads them
+    drains them, and the log grows by one entry per heartbeat until
+    it does. *)
 
 val leader : t -> Types.agent -> Leader.t
 (** The leader automaton of a given manager. *)

@@ -48,7 +48,6 @@ type t = {
   mutable state : state;
   mutable group_key : Types.group_key option;
   mutable view : Types.agent list;
-  mutable app_rev : (Types.agent * string) list;
   mutable events_rev : event list;
 }
 
@@ -61,7 +60,6 @@ let create ~self ~leader ~password ~rng =
     state = S_not_connected;
     group_key = None;
     view = [];
-    app_rev = [];
     events_rev = [];
   }
 
@@ -78,7 +76,6 @@ let state t =
 let is_connected t = match t.state with S_connected _ -> true | _ -> false
 let group_key t = t.group_key
 let group_view t = t.view
-let app_log t = List.rev t.app_rev
 
 let session_key t =
   match t.state with S_connected { ka } -> Some ka | _ -> None
@@ -242,7 +239,6 @@ let handle_app_data t (frame : F.t) =
           match P.decode_app_data plaintext with
           | Error e -> reject t ~label:frame.F.label (Types.Malformed e)
           | Ok { P.author; body } ->
-              t.app_rev <- (author, body) :: t.app_rev;
               emit t (App_received { author; body });
               []))
 

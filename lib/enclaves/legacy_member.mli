@@ -27,6 +27,7 @@ type event =
   | View_member_added of Types.agent
   | View_member_removed of Types.agent
   | App_received of { author : Types.agent; body : string }
+      (** The one record of a delivered application message. *)
   | Left
   | Rejected of { label : Wire.Frame.label option; reason : Types.reject_reason }
 
@@ -65,6 +66,8 @@ val group_key : t -> Types.group_key option
 val group_view : t -> Types.agent list
 (** Membership belief — watch it corrupt under attack A2. *)
 
-val app_log : t -> (Types.agent * string) list
 val drain_events : t -> event list
+(** Events since the last drain, oldest first. The log grows until the
+    caller drains it: {!Driver.Legacy} does not. *)
+
 val session_key : t -> Sym_crypto.Key.t option

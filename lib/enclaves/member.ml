@@ -79,7 +79,6 @@ type t = {
   mutable group_key : Types.group_key option;
   mutable view : Types.agent list;  (* sorted membership belief *)
   mutable accepted_rev : Wire.Admin.t list;
-  mutable app_rev : (Types.agent * string) list;
   mutable events_rev : event list;
   (* Retransmission state. Each field stores a frame already emitted
      once, so re-sending it never advances the automaton and never
@@ -132,7 +131,6 @@ let create_with_key ~self ~leader ~long_term ~rng =
     group_key = None;
     view = [];
     accepted_rev = [];
-    app_rev = [];
     events_rev = [];
     last_init = None;
     last_key_ack = None;
@@ -181,7 +179,6 @@ let is_connected t = match t.state with S_connected _ -> true | _ -> false
 let group_key t = t.group_key
 let group_view t = t.view
 let accepted_admin t = List.rev t.accepted_rev
-let app_log t = List.rev t.app_rev
 
 let session_key t =
   match t.state with S_connected { ka; _ } -> Some ka | _ -> None
@@ -475,7 +472,6 @@ let handle_app_data t (frame : F.t) =
           match P.decode_app_data plaintext with
           | Error e -> reject t ~label:frame.F.label (Types.Malformed e)
           | Ok { P.author; body } ->
-              t.app_rev <- (author, body) :: t.app_rev;
               emit t (App_received { author; body });
               []))
 

@@ -12,8 +12,8 @@
     Beyond the Figure 2 skeleton the member tracks the application
     state an Enclaves user needs: the current group key (delivered in
     [New_group_key] admin messages), its view of the membership, the
-    ordered log of accepted admin messages ([rcv_A] of §5.4), and
-    decrypted application traffic.
+    ordered log of accepted admin messages ([rcv_A] of §5.4). Decrypted
+    application traffic is reported as [App_received] events only.
 
     Any frame that fails authentication, parsing, an identity check, a
     nonce check, or arrives in the wrong state is {e rejected}: the
@@ -36,6 +36,8 @@ type event =
   | Joined of { session_key : Sym_crypto.Key.t }
   | Admin_accepted of Wire.Admin.t
   | App_received of { author : Types.agent; body : string }
+      (** The one record of a delivered application message: the
+          member keeps no other copy. *)
   | Left
   | Recovery_challenged of { from : Types.agent }
       (** [from] proved possession of [K_a]; the admin nonce chain was
@@ -117,9 +119,6 @@ val accepted_admin : t -> Wire.Admin.t list
 (** The ordered list [rcv_A]: every admin message accepted so far in
     the current session. Reset on leave. *)
 
-val app_log : t -> (Types.agent * string) list
-(** Decrypted application messages, oldest first. *)
-
 val delivery_floor : t -> int
 (** Store-and-forward dedup floor: every [Queued] wrapper with a seq
     below this has been applied. Cumulative — survives session resets,
@@ -138,7 +137,8 @@ val queued_applied : t -> int list
     harness asserts these are duplicate-free. *)
 
 val drain_events : t -> event list
-(** Events since the last drain, oldest first. *)
+(** Events since the last drain, oldest first. The log grows until the
+    caller drains it: neither {!Driver} nor {!Failover} does. *)
 
 val session_key : t -> Sym_crypto.Key.t option
 (** [K_a] when connected (exposed for tests and Oops modelling). *)

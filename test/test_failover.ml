@@ -217,7 +217,7 @@ let test_app_traffic_resumes_after_failover () =
   run_for t 500;
   let bob = Failover.member t "bob" in
   Alcotest.(check bool) "bob hears alice via m1" true
-    (List.mem ("alice", "back in business") (Member.app_log bob))
+    (List.mem ("alice", "back in business") (Test_util.app_received bob))
 
 let test_fresh_keys_after_cold_failover () =
   let t = make_cold () in

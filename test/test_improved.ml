@@ -546,10 +546,10 @@ let test_app_multicast () =
       Alcotest.(check (list (pair string string)))
         (name ^ " got it")
         [ ("alice", "hello group") ]
-        (Member.app_log m))
+        (Test_util.app_received m))
     [ "bob"; "carol" ];
   Alcotest.(check (list (pair string string))) "alice does not echo" []
-    (Member.app_log alice)
+    (Test_util.app_received alice)
 
 let test_app_from_nonmember_dropped () =
   let leader, members = make_cluster () in
@@ -567,7 +567,29 @@ let test_app_from_nonmember_dropped () =
   Alcotest.(check int) "not relayed" 0 (List.length replies);
   let alice = get "alice" members in
   Alcotest.(check (list (pair string string))) "alice got nothing" []
-    (Member.app_log alice)
+    (Test_util.app_received alice)
+
+(* The [App_received] event is the one record of a delivered message:
+   once its events are drained, a member holds none of the app data. *)
+let test_app_delivery_kept_once () =
+  let leader, members = make_cluster () in
+  let router = Test_util.improved_router leader members in
+  connect router members [ "alice"; "bob" ];
+  let alice = get "alice" members and bob = get "bob" members in
+  let body i = String.make 1024 (Char.chr (Char.code 'a' + (i mod 26))) in
+  Test_util.route router (Member.send_app alice (body 0));
+  ignore (Member.drain_events bob);
+  let before = Obj.reachable_words (Obj.repr bob) in
+  for i = 1 to 200 do
+    Test_util.route router (Member.send_app alice (body i));
+    Alcotest.(check (list (pair string string)))
+      (Printf.sprintf "message %d delivered once" i)
+      [ ("alice", body i) ]
+      (Test_util.app_received bob)
+  done;
+  let grown = Obj.reachable_words (Obj.repr bob) - before in
+  if grown >= 100 then
+    Alcotest.failf "bob grew by %d words over 200 drained messages" grown
 
 (* --- §5.4 runtime properties over a busy session --- *)
 
@@ -643,6 +665,8 @@ let suite =
         Alcotest.test_case "multicast" `Quick test_app_multicast;
         Alcotest.test_case "non-member dropped" `Quick
           test_app_from_nonmember_dropped;
+        Alcotest.test_case "delivered data kept once" `Quick
+          test_app_delivery_kept_once;
       ] );
     ( "improved-properties",
       [

@@ -119,7 +119,7 @@ let test_app_multicast () =
       Alcotest.(check (list (pair string string)))
         (name ^ " received")
         [ ("alice", "legacy hello") ]
-        (Legacy_member.app_log (get name members)))
+        (Test_util.legacy_app_received (get name members)))
     [ "bob"; "eve" ]
 
 (* --- Weakness demonstrations (the baseline for attacks A1-A4) --- *)

@@ -87,7 +87,7 @@ let test_pk_handshake_end_to_end () =
   Test_util.route router (Member.send_app alice "pk hello");
   Alcotest.(check (list (pair string string))) "bob hears alice"
     [ ("alice", "pk hello") ]
-    (Member.app_log bob)
+    (Test_util.app_received bob)
 
 let test_pk_wrong_keypair_rejected () =
   let rng = Prng.Splitmix.create 7L in

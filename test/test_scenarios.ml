@@ -126,7 +126,7 @@ let prop_app_authentic ops =
     (fun name ->
       List.for_all
         (fun (author, body) -> List.mem (author, body) sent)
-        (Member.app_log (D.member d name)))
+        (Test_util.app_received (D.member d name)))
     (Array.to_list names)
 
 let prop_session_keys_agree ops =

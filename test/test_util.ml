@@ -51,6 +51,23 @@ let rec is_prefix eq xs ys =
   | _, [] -> false
   | x :: xs', y :: ys' -> eq x y && is_prefix eq xs' ys'
 
+(* The (author, body) of every app message a member delivered since its
+   events were last drained, oldest first. *)
+let app_received m =
+  List.filter_map
+    (function
+      | Enclaves.Member.App_received { author; body } -> Some (author, body)
+      | _ -> None)
+    (Enclaves.Member.drain_events m)
+
+let legacy_app_received m =
+  List.filter_map
+    (function
+      | Enclaves.Legacy_member.App_received { author; body } ->
+          Some (author, body)
+      | _ -> None)
+    (Enclaves.Legacy_member.drain_events m)
+
 let has_reject_member m =
   List.exists
     (function Enclaves.Member.Rejected _ -> true | _ -> false)
