@@ -49,7 +49,6 @@ type counters = {
   mutable demotions : int;
   mutable warm_promotions : int;
   mutable cold_promotions : int;
-  mutable lag_snapshots : int;
 }
 
 let fresh_counters () =
@@ -67,7 +66,6 @@ let fresh_counters () =
     demotions = 0;
     warm_promotions = 0;
     cold_promotions = 0;
-    lag_snapshots = 0;
   }
 
 (* A frozen copy for reports; the live record keeps counting. *)
@@ -119,18 +117,13 @@ module Source = struct
        compaction so the resend window stays complete. *)
     mutable suspicion : string option;
     acked : (Types.agent, int) Hashtbl.t;
-    (* Journal byte length right after each shipped op — what lets a
-       demoting source cut its journal back to the acked prefix. *)
+    (* Journal byte length right after each op shipped since [image_seq]
+       — what lets a demoting source cut its journal back to the acked
+       prefix, which never lands below the image. *)
     lens : (int, int) Hashtbl.t;
     mutable cur_len : int;
     mutable superseded : bool;
     on_superseded : term:int -> primary:Types.agent -> unit;
-    (* Op-log growth bound: when some backup trails the frontier by
-       more than this many records AND the op log itself has grown
-       past it, the source stops paying per-op memory for the laggard
-       and escalates to a fresh full-image snapshot (which empties the
-       op log). [None] = rely on journal auto-compaction alone. *)
-    lag_budget : int option;
   }
 
   let seal t ~recipient ~label payload =
@@ -187,54 +180,28 @@ module Source = struct
     |> List.iter (fun (file, image) -> ship_queue_image t ~file image);
     match t.suspicion with None -> () | Some blob -> ship_suspicion t blob
 
-  let rec on_journal_event t = function
+  let on_journal_event t = function
     | Journal.Appended chunk ->
         let seq = t.next_seq in
         t.next_seq <- seq + 1;
         Hashtbl.replace t.ops seq (P.Repl_append, chunk);
         t.cur_len <- t.cur_len + String.length chunk;
         Hashtbl.replace t.lens seq t.cur_len;
-        ship t ~seq ~op:P.Repl_append ~data:chunk;
-        maybe_escalate t
+        ship t ~seq ~op:P.Repl_append ~data:chunk
     | Journal.Published image ->
         let seq = t.next_seq in
         t.next_seq <- seq + 1;
         t.image_seq <- seq;
         t.last_image <- image;
         Hashtbl.reset t.ops;
+        Hashtbl.reset t.lens;
         t.cur_len <- String.length image;
         Hashtbl.replace t.lens seq t.cur_len;
         ship t ~seq ~op:P.Repl_snapshot ~data:image;
         reship_queue_images t
 
-  (* Checked after every append (the op-log growth path). Both legs of
-     the guard matter: the lag leg means a caught-up fleet never pays
-     for an extra snapshot (journal auto-compaction is enough), and
-     the backlog leg — which resets with the image we are about to
-     ship — keeps a partitioned backup from forcing a snapshot per
-     append while its ack frontier cannot move. Together they bound
-     the op log at [budget] records whenever some backup lags. *)
-  and maybe_escalate t =
-    match t.lag_budget with
-    | None -> ()
-    | Some budget ->
-        let worst =
-          List.fold_left
-            (fun acc b ->
-              let upto =
-                Option.value ~default:0 (Hashtbl.find_opt t.acked b)
-              in
-              max acc (t.next_seq - upto))
-            0 t.backups
-        in
-        if t.next_seq - t.image_seq > budget && worst > budget then begin
-          t.counters.lag_snapshots <- t.counters.lag_snapshots + 1;
-          on_journal_event t (Journal.Published (Journal.contents t.journal))
-        end
-
   let create ~self ~backups ~term ~key ~rng ~send ~journal
-      ?(on_superseded = fun ~term:_ ~primary:_ -> ()) ?counters ?lag_budget ()
-      =
+      ?(on_superseded = fun ~term:_ ~primary:_ -> ()) ?counters () =
     let counters = match counters with Some c -> c | None -> fresh_counters () in
     let t =
       {
@@ -257,7 +224,6 @@ module Source = struct
         cur_len = 0;
         superseded = false;
         on_superseded;
-        lag_budget;
       }
     in
     Journal.set_observer journal (Some (on_journal_event t));

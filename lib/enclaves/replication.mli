@@ -77,9 +77,6 @@ type counters = {
           as a catching-up replica. *)
   mutable warm_promotions : int;  (** Backups promoted from a usable replica. *)
   mutable cold_promotions : int;  (** Promotions that fell back to cold restart. *)
-  mutable lag_snapshots : int;
-      (** Full-image snapshots forced by the source's per-backup lag
-          budget (not by journal compaction or term openings). *)
 }
 (** Shared mutable counters: the failover harness passes one instance
     to the source and every replica (and bumps the promotion fields
@@ -90,7 +87,7 @@ val fresh_counters : unit -> counters
 
 val named : counters -> (string * int) list
 (** Labelled counters for {!Netsim.Stats.pp_named}, in declaration
-    order — all but [lag_snapshots]. *)
+    order. *)
 
 module Source : sig
   type t
@@ -105,7 +102,6 @@ module Source : sig
     journal:Journal.t ->
     ?on_superseded:(term:int -> primary:Types.agent -> unit) ->
     ?counters:counters ->
-    ?lag_budget:int ->
     unit ->
     t
   (** Attach a replication source to [journal]: subscribes to its
@@ -115,16 +111,9 @@ module Source : sig
       network). A promoted backup mints a strictly higher term, unique
       per promotion (see {!Failover}). [on_superseded] fires at most
       once, when authentic evidence of a strictly higher term arrives
-      — the harness's cue to demote this source.
-
-      [lag_budget] bounds the re-send op log under a lagging backup:
-      once some backup trails the frontier by more than [lag_budget]
-      records {e and} the op log has grown past it since the last
-      image, the source escalates to a fresh full-image snapshot
-      (emptying the op log and counting [lag_snapshots]) instead of
-      accumulating per-op state for the laggard. Without it the op
-      log between journal compactions grows with the partition
-      length. *)
+      — the harness's cue to demote this source. The re-send op log
+      is bounded by journal compaction alone: between compactions it
+      grows with a lagging backup's partition. *)
 
   val detach : t -> unit
   (** Unsubscribe from the journal (crash or demotion). *)
