@@ -30,7 +30,6 @@ let create ~driver ~insider ~password () =
   let rng = Prng.Splitmix.split (Netsim.Sim.rng (D.Improved.sim driver)) in
   { driver; insider; password; intr = I.create ~rng (); rng; retired = [] }
 
-let intruder t = t.intr
 let counters t = I.counters_named (I.counters t.intr)
 
 let leader_name t = Enclaves.Leader.self (D.Improved.leader t.driver)

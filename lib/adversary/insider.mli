@@ -26,7 +26,6 @@ val create :
     name a real directory entry — the storm arm runs genuine
     handshakes under it. *)
 
-val intruder : t -> Netsim.Intruder.t
 val counters : t -> (string * int) list
 (** Frames actually injected, per arm (see
     {!Netsim.Intruder.counters_named}). *)
@@ -36,18 +35,6 @@ val harvest : t -> bool
     if it holds none. Call before a rekey or leave retires it. *)
 
 val retired_keys : t -> Sym_crypto.Key.t list
-
-val flood : t -> int -> int
-(** A1: inject [burst] junk [AuthInitReq] frames now — half under
-    ghost names, half under the insider's own — and return the count. *)
-
-val storm : t -> int -> int
-(** Inject [burst] {e valid} fresh-nonce [AuthInitReq] frames under
-    the insider's identity, churning the leader's half-open table. *)
-
-val forge : t -> int -> int
-(** A2: inject [burst] frames sealed under expired (harvested) or
-    mismatched key material — MAC failures at the leader. *)
 
 val replay : t -> int -> int
 (** A3: re-inject up to [burst] genuine leader-bound frames the

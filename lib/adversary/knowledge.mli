@@ -33,7 +33,6 @@ val saturate : t -> unit
 val knows_key : t -> Sym_crypto.Key.t -> bool
 (** After {!saturate}: does the attacker hold this key? *)
 
-val keys : t -> Sym_crypto.Key.t list
 val plaintexts : t -> string list
 (** All payload plaintexts recovered so far. *)
 

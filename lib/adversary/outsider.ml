@@ -28,9 +28,7 @@ let create ~driver ~victim () =
   let rng = Prng.Splitmix.split (Netsim.Sim.rng (D.Improved.sim driver)) in
   { driver; victim; intr = I.create ~rng (); rng }
 
-let intruder t = t.intr
 let counters t = I.counters_named (I.counters t.intr)
-let victim t = t.victim
 
 let leader_name t = Enclaves.Leader.self (D.Improved.leader t.driver)
 

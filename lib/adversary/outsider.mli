@@ -31,9 +31,6 @@ val create :
 (** An outsider bound to one cluster, framing [victim] — normally an
     honest directory member. *)
 
-val intruder : t -> Netsim.Intruder.t
-val victim : t -> Enclaves.Types.agent
-
 val counters : t -> (string * int) list
 (** Frames actually injected, per arm (see
     {!Netsim.Intruder.counters_named}). *)

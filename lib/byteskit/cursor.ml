@@ -3,7 +3,7 @@ let ( let* ) = Result.bind
 module Writer = struct
   type t = Buffer.t
 
-  let create ?(capacity = 64) () = Buffer.create capacity
+  let create () = Buffer.create 64
   let u8 w v = Buffer.add_char w (Char.chr (v land 0xFF))
 
   let u16 w v =

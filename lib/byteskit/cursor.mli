@@ -10,7 +10,7 @@
 module Writer : sig
   type t
 
-  val create : ?capacity:int -> unit -> t
+  val create : unit -> t
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit

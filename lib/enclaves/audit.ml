@@ -87,7 +87,11 @@ let degraded_of note =
     Some (String.sub note n (String.length note - n))
   else None
 
-let run ?(flood_threshold = 10) ~directory ~leader trace =
+(* Leader-bound frames per claimed sender above which traffic is
+   flood-grade: a handshake flood, or a framing when mostly off-path. *)
+let flood_threshold = 10
+
+let run ~directory ~leader trace =
   let sessions = Hashtbl.create 8 in
   List.iter
     (fun (user, password) ->

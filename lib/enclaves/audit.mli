@@ -41,10 +41,10 @@ type anomaly =
       via_foreign : int;
       via_wire : int;
     }
-      (** More than [flood_threshold] [AuthInitReq] frames delivered
-          to the leader under one claimed sender — pre-auth flood
-          pressure on the unauthenticated surface. The frames need not
-          be valid; the signal is volume. [attempts] is split by the
+      (** More than 10 [AuthInitReq] frames delivered to the leader
+          under one claimed sender — pre-auth flood pressure on the
+          unauthenticated surface. The frames need not be valid; the
+          signal is volume. [attempts] is split by the
           injection path the trace vouches for: the claimed sender's
           own socket, some other member's socket, or the raw wire —
           telling an operator whether the named member or the wire is
@@ -54,8 +54,8 @@ type anomaly =
       off_path : int;
       on_path : int;
     }
-      (** Flood-grade leader-bound traffic claiming a directory member
-          is dominated by frames that member {e provably never
+      (** Over 10 leader-bound frames claiming a directory member,
+          dominated by frames that member {e provably never
           originated} (delivered over someone else's socket or the raw
           wire). Whatever evidence that traffic generated belongs to
           the injector, not the member — the offline signature of a
@@ -84,7 +84,6 @@ val clean : report -> bool
 (** No anomalies. *)
 
 val run :
-  ?flood_threshold:int ->
   directory:(Types.agent * string) list ->
   leader:Types.agent ->
   Netsim.Trace.t ->
@@ -93,6 +92,4 @@ val run :
     the trace in order. Sessions are tracked per member: an
     [AuthKeyDist] opened under the member's [P_a] installs the session
     key the subsequent frames are checked against; an authentic
-    [ReqClose] retires it. [flood_threshold] (default 10) is the
-    per-claimed-sender [AuthInitReq] delivery count above which a
-    {!anomaly.Handshake_flood} is flagged. *)
+    [ReqClose] retires it. *)

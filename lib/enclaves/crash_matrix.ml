@@ -309,8 +309,8 @@ let check_queue ~torn ~file ops checkpoints =
     ~floor:("floor-monotone", fun s -> s.Store.Queue.floor)
     ~image:queue_image ops checkpoints
 
-let run_queue ?(pushes = 18) ?(compact_every = 6) ?(seed = 12L) ?(torn = true)
-    () =
+let run_queue ?(compact_every = 6) ?(seed = 12L) ?(torn = true) () =
+  let pushes = 18 in
   let rng = Prng.Splitmix.create seed in
   let rec_ = CP.recorder (Store.Mem.create ()) in
   let q =
@@ -357,8 +357,8 @@ let run_queue ?(pushes = 18) ?(compact_every = 6) ?(seed = 12L) ?(torn = true)
    disk could be left in, including the stale-but-valid image the
    disarmed mirror preserves through the degraded window and the re-arm
    snapshot that replaces it. *)
-let run_degraded ?(pushes = 20) ?(compact_every = 64) ?(seed = 13L)
-    ?(torn = true) () =
+let run_degraded ?(compact_every = 64) ?(seed = 13L) ?(torn = true) () =
+  let pushes = 20 in
   let rng = Prng.Splitmix.create seed in
   let rec_ = CP.recorder (Store.Mem.create ()) in
   let fault =

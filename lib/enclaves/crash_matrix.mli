@@ -88,14 +88,13 @@ val run :
     Deterministic for a given argument vector. *)
 
 val run_queue :
-  ?pushes:int ->
   ?compact_every:int ->
   ?seed:int64 ->
   ?torn:bool ->
   unit ->
   report
 (** The same matrix over a store-and-forward delivery queue
-    ({!Store.Queue}): pushes across several epochs, a mid-stream
+    ({!Store.Queue}): 18 pushes across several epochs, a mid-stream
     cumulative ack, a policy drop, and forced compactions past the ack
     floor. Beyond replay/recover totality, asserts the two
     delivery-specific invariants — {b no duplicate-after-replay} (no
@@ -103,19 +102,18 @@ val run_queue :
     below-floor delivery seq) and {b no acknowledged-then-lost} (at
     every returned mutation the durable image replays [Clean] to
     exactly the acknowledged state) — plus ack-floor monotonicity
-    across boundaries in time order. Defaults: 18 pushes, compaction
-    every 6 records, seed 12, torn variants on. *)
+    across boundaries in time order. Defaults: compaction every 6
+    records, seed 12, torn variants on. *)
 
 val run_degraded :
-  ?pushes:int ->
   ?compact_every:int ->
   ?seed:int64 ->
   ?torn:bool ->
   unit ->
   report
 (** The queue matrix composed with the resource-fault layer: the
-    workload crosses an ENOSPC window mid-stream, so the byte budgets
-    shed records, the refused mirror is disarmed, and the re-arm
+    20-push workload crosses an ENOSPC window mid-stream, so the byte
+    budgets shed records, the refused mirror is disarmed, and the re-arm
     {!Delivery.flush} republishes the image once space returns — and
     {e every} crash image of that episode is enumerated and replayed.
     Beyond the {!run_queue} invariants (totality, no
@@ -123,5 +121,5 @@ val run_degraded :
     armed checkpoint), asserts {b no shed-seq resurrection}: once the
     re-arm flush has returned, the durable image replays [Clean] to
     exactly the live state, so no record shed during the episode can
-    reappear from any later crash. Defaults: 20 pushes, compaction
-    every 64 records, seed 13, torn variants on. *)
+    reappear from any later crash. Defaults: compaction every 64
+    records, seed 13, torn variants on. *)

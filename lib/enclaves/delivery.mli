@@ -114,10 +114,6 @@ val files : t -> (string * string) list
 (** Every queue's (file name, current image), sorted — what the driver
     captures at a crash and the replication stream ships to backups. *)
 
-val restore : t -> file:string -> string -> unit
-(** Replace one member's queue with the recovery of [image] (total on
-    arbitrary bytes — torn tails cost at most the damaged suffix). *)
-
 val of_images :
   ?policy:policy ->
   ?budgets:budgets ->
@@ -126,7 +122,8 @@ val of_images :
   (string * string) list ->
   t
 (** A delivery layer rebuilt from captured queue images — the restart
-    and warm-promotion entry point. *)
+    and warm-promotion entry point. Recovery is total on arbitrary
+    bytes: a torn tail costs at most the damaged suffix. *)
 
 val set_ship : t -> (file:string -> string -> unit) option -> unit
 (** Replication hook: called with a queue's file name and full image

@@ -20,17 +20,14 @@ type campaign = {
   stop : Vtime.t;
   period : Vtime.t;
   burst : int;
-  jitter : float;
 }
 
-let campaign ?(jitter = 0.25) ~arm ~start ~stop ~period ~burst () =
+let campaign ~arm ~start ~stop ~period ~burst () =
   if Vtime.(stop < start) then invalid_arg "Intruder.campaign: stop < start";
   if Vtime.(period <= Vtime.zero) then
     invalid_arg "Intruder.campaign: period must be positive";
   if burst <= 0 then invalid_arg "Intruder.campaign: burst must be positive";
-  if jitter < 0.0 || jitter >= 1.0 then
-    invalid_arg "Intruder.campaign: jitter must be in [0,1)";
-  { arm; start; stop; period; burst; jitter }
+  { arm; start; stop; period; burst }
 
 type counters = {
   mutable flood_frames : int;
@@ -77,6 +74,10 @@ let create ~rng () =
 
 let counters t = t.counters
 
+(* Each tick of a plan is displaced by up to this fraction of the
+   period. *)
+let jitter = 0.25
+
 (* The campaign's firing plan, materialised up front: one (time, burst)
    pair per period tick between [start] and [stop], each tick displaced
    by a seeded jitter fraction of the period. Consuming the plan
@@ -88,12 +89,8 @@ let plan t c =
   let rec ticks acc at =
     if Vtime.(c.stop < at) then List.rev acc
     else
-      let displaced =
-        if c.jitter = 0.0 then at
-        else
-          let f = (Prng.Splitmix.next_float t.rng *. 2.0) -. 1.0 in
-          Int64.add at (Int64.of_float (period_f *. c.jitter *. f))
-      in
+      let f = (Prng.Splitmix.next_float t.rng *. 2.0) -. 1.0 in
+      let displaced = Int64.add at (Int64.of_float (period_f *. jitter *. f)) in
       let displaced = if Vtime.(displaced < c.start) then c.start else displaced in
       ticks ((displaced, c.burst) :: acc) (Vtime.add at c.period)
   in

@@ -51,11 +51,9 @@ type campaign = {
   stop : Vtime.t;  (** inclusive: ticks at exactly [stop] still fire *)
   period : Vtime.t;  (** nominal spacing between bursts *)
   burst : int;  (** frames injected per tick *)
-  jitter : float;  (** fraction of [period] each tick is displaced by *)
 }
 
 val campaign :
-  ?jitter:float ->
   arm:arm ->
   start:Vtime.t ->
   stop:Vtime.t ->
@@ -63,8 +61,8 @@ val campaign :
   burst:int ->
   unit ->
   campaign
-(** @raise Invalid_argument on an empty window, non-positive period or
-    burst, or jitter outside [0,1). Default jitter 0.25. *)
+(** @raise Invalid_argument on an empty window, or a non-positive
+    period or burst. *)
 
 type counters = {
   mutable flood_frames : int;
@@ -93,5 +91,5 @@ val counters : t -> counters
 val plan : t -> campaign -> (Vtime.t * int) list
 (** The campaign's firing schedule, oldest first: one [(time, burst)]
     pair per period tick in [\[start, stop\]], each displaced by a
-    seeded jitter of at most [jitter * period] (clamped to [start]).
+    seeded jitter of at most a quarter [period] (clamped to [start]).
     Deterministic per seed. *)

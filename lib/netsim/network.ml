@@ -21,14 +21,14 @@ type t = {
   mutable delivering : Trace.via option;
 }
 
-let create ~sim ?(latency_us = (500, 1500)) ?(trace = Trace.create ()) () =
+let create ~sim ?(latency_us = (500, 1500)) () =
   let lo, hi = latency_us in
   if lo < 0 || hi < lo then invalid_arg "Network.create: bad latency range";
   {
     sim;
     latency_lo = lo;
     latency_hi = hi;
-    trace;
+    trace = Trace.create ();
     nodes = Hashtbl.create 16;
     rng = Prng.Splitmix.split (Sim.rng sim);
     adversary = None;
@@ -50,7 +50,6 @@ let set_faultplan t plan =
   | _ -> ());
   t.faultplan <- plan
 
-let faultplan t = t.faultplan
 let fault_counters t = t.fault_counters
 
 let draw_latency t =

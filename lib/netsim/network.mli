@@ -23,7 +23,7 @@ type verdict =
 type adversary = src:string -> dst:string -> payload:string -> verdict
 
 val create :
-  sim:Sim.t -> ?latency_us:int * int -> ?trace:Trace.t -> unit -> t
+  sim:Sim.t -> ?latency_us:int * int -> unit -> t
 (** [create ~sim ()] builds a network on [sim]'s scheduler.
     [latency_us = (lo, hi)] draws per-frame latency uniformly from
     [lo..hi] microseconds (default [(500, 1500)]). *)
@@ -52,7 +52,6 @@ val set_faultplan : t -> Faultplan.t option -> unit
     plan is installed, so runs without a plan are unaffected and runs
     with one replay bit-for-bit from the simulation seed. *)
 
-val faultplan : t -> Faultplan.t option
 val fault_counters : t -> Faultplan.counters
 (** Running tally of faults injected so far on this network. *)
 

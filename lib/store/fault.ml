@@ -78,7 +78,6 @@ let create ?(config = none) ~rng inner =
 
 let counters t = t.counters
 let crashed t = t.crashed
-let stalled t = t.stalled
 let set_space_budget t b = t.space_budget <- b
 let heal_stall t = t.stalled <- false
 let trigger_stall t = t.stalled <- true

@@ -80,9 +80,6 @@ val handle : t -> Backend.t
 val counters : t -> counters
 val crashed : t -> bool
 
-val stalled : t -> bool
-(** Whether the persistent-stall arm is currently tripped. *)
-
 val heal_stall : t -> unit
 (** Clear a tripped stall: the disk comes back, mutations succeed
     again. The trigger does not re-arm. *)

@@ -23,8 +23,6 @@ let create ~dir =
        with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
       { dir })
 
-let dir t = t.dir
-
 let path t file =
   if String.contains file '/' then
     invalid_arg "File: file names must not contain '/'";

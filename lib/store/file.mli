@@ -18,7 +18,6 @@ val create : dir:string -> t
     missing. File names must be plain names — no path separators.
     @raise Backend.Eio if the directory cannot be created. *)
 
-val dir : t -> string
 val handle : t -> Backend.t
 
 include Backend.S with type t := t
