@@ -138,13 +138,16 @@ calibrate:
 # single-core CI container (whole runs occasionally slow down 50%+
 # uniformly) — the gate is a tripwire for real regressions (an
 # accidental O(n^2), a lost fast path) in any group's geometric-mean
-# ns/op, not a precision instrument.
+# ns/op, not a precision instrument. The runs are written under
+# _build/bench-diff/, inside the checkout.
+BENCH_DIFF_DIR = _build/bench-diff
 bench-diff:
-	dune exec bench/main.exe -- --fast --out /tmp/BENCH_fast.1.json
-	dune exec bench/main.exe -- --fast --out /tmp/BENCH_fast.2.json
-	dune exec bench/main.exe -- --fast --out /tmp/BENCH_fast.3.json
+	mkdir -p $(BENCH_DIFF_DIR)
+	dune exec bench/main.exe -- --fast --out $(BENCH_DIFF_DIR)/BENCH_fast.1.json
+	dune exec bench/main.exe -- --fast --out $(BENCH_DIFF_DIR)/BENCH_fast.2.json
+	dune exec bench/main.exe -- --fast --out $(BENCH_DIFF_DIR)/BENCH_fast.3.json
 	dune exec bench/diff.exe -- BENCH_results.fast.json \
-	  /tmp/BENCH_fast.1.json,/tmp/BENCH_fast.2.json,/tmp/BENCH_fast.3.json \
+	  $(BENCH_DIFF_DIR)/BENCH_fast.1.json,$(BENCH_DIFF_DIR)/BENCH_fast.2.json,$(BENCH_DIFF_DIR)/BENCH_fast.3.json \
 	  --max-regression 1.0
 
 # ALICE-style crash-point enumeration: every disk image a crash could
