@@ -36,17 +36,8 @@ val harvest : t -> bool
 
 val retired_keys : t -> Sym_crypto.Key.t list
 
-val replay : t -> int -> int
-(** A3: re-inject up to [burst] genuine leader-bound frames the
-    insider itself once sent, newest first; returns how many the
-    trace could supply. Only the insider's own captured frames are
-    replayed — replaying a {e victim's} frames is the framing vector
-    (evidence lands on the name in the frame), kept out of the arm
-    and discussed in DESIGN.md instead. *)
-
-val fire : t -> Netsim.Intruder.arm -> int -> int
-(** Dispatch one burst of the given arm. *)
-
 val launch : t -> Netsim.Intruder.campaign -> int
 (** Schedule the campaign's whole seeded plan ({!Netsim.Intruder.plan})
-    as simulator events; returns the number of scheduled bursts. *)
+    as simulator events; returns the number of scheduled bursts. A
+    framing arm's first burst raises [Invalid_argument]: those arms
+    belong to {!Outsider}. *)

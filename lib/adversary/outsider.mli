@@ -35,10 +35,8 @@ val counters : t -> (string * int) list
 (** Frames actually injected, per arm (see
     {!Netsim.Intruder.counters_named}). *)
 
-val fire : t -> Netsim.Intruder.arm -> int -> int
-(** Dispatch one burst of the given (framing) arm.
-    @raise Invalid_argument on an insider arm. *)
-
 val launch : t -> Netsim.Intruder.campaign -> int
 (** Schedule the campaign's whole seeded plan ({!Netsim.Intruder.plan})
-    as simulator events; returns the number of scheduled bursts. *)
+    as simulator events; returns the number of scheduled bursts. An
+    insider arm's first burst raises [Invalid_argument]: those arms
+    belong to {!Insider}. *)
