@@ -532,21 +532,15 @@ let admit_preauth t ?via ~peer:name ~known ~resuming ~half_open () =
    levels join by rank. That makes import commutative, associative
    (up to float rounding in the decay factor) and idempotent, so
    replicated suspicion converges under any delivery order — the
-   CRDT property the qcheck suite pins. v1 lines (an aggregate score
-   per peer, from pre-attribution snapshots) fold into the off-path
-   slot: an old-format snapshot can ratchet levels and keep scores
-   warm but never manufactures corroboration. *)
+   CRDT property the qcheck suite pins. *)
 
 let merge_slots t p ~last_in ~off_in ~cls_in =
   let tref = if Vtime.(p.last < last_in) then last_in else p.last in
   touch t p tref;
   let f_in = decay_factor t ~from_:last_in ~to_:tref in
-  (match cls_in with
-  | Some cls_in ->
-      for i = 0 to n_classes - 1 do
-        p.cls.(i) <- Float.max p.cls.(i) (cls_in.(i) *. f_in)
-      done
-  | None -> ());
+  for i = 0 to n_classes - 1 do
+    p.cls.(i) <- Float.max p.cls.(i) (cls_in.(i) *. f_in)
+  done;
   p.off <- Float.max p.off (off_in *. f_in);
   p.last <- tref
 
@@ -563,22 +557,10 @@ let import t blob =
   List.iter
     (fun line ->
       match String.split_on_char '\t' line with
-      | [ rank; score_hex; last; name ] when name <> "" -> (
-          (* v1 row: rank, aggregate score bits, last, name. *)
-          match
-            (int_of_string_opt rank, float_of_hex score_hex,
-             Int64.of_string_opt last)
-          with
-          | Some rank, Some score, Some last_in ->
-              let lvl = level_of_rank (max 0 (min 3 rank)) in
-              let p = peer t name in
-              merge_slots t p ~last_in ~off_in:score ~cls_in:None;
-              if level_for_rank_update t p lvl then incr merged
-          | _ -> ())
       | rank :: last :: off_hex :: rest when List.length rest = n_classes + 1
         -> (
-          (* v2 row: rank, last, off bits, one bits column per class,
-             name. *)
+          (* One peer, as [export] writes it: rank, last, off bits,
+             one bits column per class, name. *)
           let name = List.nth rest n_classes in
           let cls_hex = List.filteri (fun i _ -> i < n_classes) rest in
           match
@@ -597,7 +579,7 @@ let import t blob =
               if !ok then begin
                 let lvl = level_of_rank (max 0 (min 3 rank)) in
                 let p = peer t name in
-                merge_slots t p ~last_in ~off_in ~cls_in:(Some cls_in);
+                merge_slots t p ~last_in ~off_in ~cls_in;
                 if level_for_rank_update t p lvl then incr merged
               end
           | _ -> ())

@@ -260,10 +260,8 @@ val import : t -> string -> int
 (** Merge a snapshot: both sides' score slots are decayed to the later
     timestamp and joined slot-wise by max, and levels ratchet to the
     higher of local and imported — a join-semilattice merge, so
-    replicated suspicion converges under any delivery order. v1 lines
-    (aggregate-score snapshots from pre-attribution leaders) fold into
-    the off-path slot: they ratchet levels and keep scores warm but
-    never manufacture corroboration. Malformed lines are ignored.
+    replicated suspicion converges under any delivery order. Only the
+    rows {!export} writes are read; any other line is ignored.
     Returns the number of peers whose level escalated. Used at
     failover promotion so the successor keeps quarantines. *)
 
