@@ -155,13 +155,7 @@ let () =
       List.iter (fun line -> Printf.printf "    %s\n" line) trace
   | _ -> ());
 
-  let legacy_ok =
-    List.for_all
-      (fun f ->
-        if f.Legacy_model.weakness = "Pa-secrecy" then not f.Legacy_model.violated
-        else f.Legacy_model.violated)
-      legacy_findings
-  in
+  let legacy_ok = List.for_all Legacy_model.as_expected legacy_findings in
 
   (* A truncated search checked only the states it reached, so its
      HOLDS lines are no verification of the bounded model. *)

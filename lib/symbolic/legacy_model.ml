@@ -385,3 +385,6 @@ let findings ?(bounds = default_bounds) r =
       (fun q -> Field.Set.mem (FKey Pa) (intruder_knowledge bounds q))
   in
   [ w1; w2; w3; w4; pa ]
+
+let as_expected f =
+  if f.weakness = "Pa-secrecy" then not f.violated else f.violated

@@ -70,5 +70,8 @@ type finding = {
 }
 
 val findings : ?bounds:bounds -> result -> finding list
-(** The four weaknesses (expected [violated = true]) followed by the
-    [P_a]-secrecy check (expected [violated = false]). *)
+(** The four weaknesses followed by the [P_a]-secrecy check. *)
+
+val as_expected : finding -> bool
+(** The outcome §2.3 predicts: each weakness's attack is found
+    ([violated = true]) and [P_a] secrecy holds ([violated = false]). *)
