@@ -1,7 +1,8 @@
 (* Regression gate over the bench trajectory: compare two
    BENCH_results.json documents (baseline, candidate) per group and
    fail if any group's geometric-mean ns_per_op regressed by more than
-   the threshold.
+   the threshold. This is the one reader of the files bench/main.ml
+   writes.
 
      diff.exe BASELINE.json CAND.json[,CAND2.json,...]
               [--max-regression FRAC]
@@ -11,13 +12,12 @@
    comma-separated list of result files, scored as the per-group
    MINIMUM across the runs — timing noise on a loaded single-core
    container only ever adds time, so min-of-N is the stable
-   statistic. The "sentinel-frontier" (calibration) and "nemesis"
-   (soak verdict) groups are not timing output and are skipped. Groups present in only one file are
-   reported but never fail the gate — new benches appear and old ones
-   retire as the suite grows. Under each group every row is printed
-   with its own min-of-N delta, so a one-row regression that the
-   group's mean hides is visible in the log; rows never fail the
-   gate. *)
+   statistic. A row without a positive ns_per_op is skipped. Groups
+   present in only one file are reported but never fail the gate —
+   new benches appear and old ones retire as the suite grows. Under
+   each group every row is printed with its own min-of-N delta, so a
+   one-row regression that the group's mean hides is visible in the
+   log; rows never fail the gate. *)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -77,8 +77,7 @@ let load path =
        if String.length line > 1 && line.[0] = '{' && contains line "\"group\""
        then
          match (str_field line "group", num_field line "ns_per_op") with
-         | Some g, Some ns
-           when g <> "sentinel-frontier" && g <> "nemesis" && ns > 0.0 ->
+         | Some g, Some ns when ns > 0.0 ->
              let name = Option.value (str_field line "name") ~default:g in
              rows := (g, name, ns) :: !rows
          | _ -> ()
