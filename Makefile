@@ -124,8 +124,8 @@ chaos-nemesis:
 # Adversarial calibration sweep (E24): every intruder arm plus a
 # clean-chaos control at each sentinel tuning point; fails unless the
 # shipped defaults dominate the no-attribution baseline on the
-# detection-vs-false-positive frontier. Merges the frontier into
-# BENCH_results.json.
+# detection-vs-false-positive frontier. Prints the frontier and writes
+# no file.
 calibrate:
 	dune exec bin/enclaves_cli.exe -- calibrate
 
