@@ -294,14 +294,7 @@ let run_attack which seed =
     | `A4 -> both forced_disconnect
   in
   List.iter (fun o -> Format.printf "%a@." pp_outcome o) runs;
-  let expected =
-    List.for_all
-      (fun o ->
-        match o.protocol with
-        | Legacy -> o.succeeded
-        | Improved -> not o.succeeded)
-      runs
-  in
+  let expected = List.for_all as_expected runs in
   Printf.printf "\nmatches the paper's matrix: %b\n" expected;
   if expected then 0 else 1
 
@@ -322,8 +315,8 @@ let attack_cmd =
 
 (* --- verify --- *)
 
-(* One bounded model: explore it (timed), print its reports, and say
-   whether they all hold. *)
+(* One bounded model: explore it (timed), print its reports, and
+   return them. *)
 let verify_plane title explore state_count edge_count reports =
   Printf.printf "\n-- %s --\n" title;
   let t0 = Unix.gettimeofday () in
@@ -335,9 +328,9 @@ let verify_plane title explore state_count edge_count reports =
   List.iter
     (fun rep -> Format.printf "%a@." Symbolic.Invariants.pp_report rep)
     reps;
-  List.for_all (fun rep -> rep.Symbolic.Invariants.holds) reps
+  reps
 
-let run_verify joins admin nonces keys legacy jobs stream max_states =
+let run_verify joins admin nonces keys legacy jobs max_states =
   let open Symbolic in
   let config =
     {
@@ -349,63 +342,43 @@ let run_verify joins admin nonces keys legacy jobs stream max_states =
     }
   in
   let t0 = Unix.gettimeofday () in
-  let explored states edges dropped =
-    Printf.printf "explored %d states / %d transitions in %.2fs%s\n\n" states
-      edges
-      (Unix.gettimeofday () -. t0)
-      (if dropped > 0 then Printf.sprintf " (TRUNCATED, %d dropped)" dropped
-       else "");
-    dropped > 0
+  let r = Explore.run ~config ~jobs ~max_states () in
+  let dropped = r.Explore.frontier_dropped in
+  Printf.printf "explored %d states / %d transitions in %.2fs%s\n\n"
+    (Explore.state_count r) (Explore.edge_count r)
+    (Unix.gettimeofday () -. t0)
+    (if dropped > 0 then Printf.sprintf " (TRUNCATED, %d dropped)" dropped
+     else "");
+  let improved =
+    Invariants.all ~config r @ Properties.all r @ Diagram.all ~config r
   in
-  let truncated, reports =
-    if stream then begin
-      let checker =
-        Invariants.combine
-          [ Invariants.stream ~config (); Properties.stream ();
-            Diagram.stream ~config () ]
-      in
-      let st =
-        Explore.run_stream ~config ~jobs ~max_states
-          ~on_state:checker.Invariants.on_state
-          ~on_edge:checker.Invariants.on_edge ()
-      in
-      let truncated =
-        explored st.Explore.stream_states st.Explore.stream_edges
-          st.Explore.stream_dropped
-      in
-      (truncated, checker.Invariants.finish ())
-    end
-    else begin
-      let r = Explore.run ~config ~jobs ~max_states () in
-      let truncated =
-        explored (Explore.state_count r) (Explore.edge_count r)
-          r.Explore.frontier_dropped
-      in
-      ( truncated,
-        Invariants.all ~config r @ Properties.all r @ Diagram.all ~config r )
-    end
-  in
-  List.iter (fun rep -> Format.printf "%a@." Invariants.pp_report rep) reports;
-  let improved_ok = List.for_all (fun rep -> rep.Invariants.holds) reports in
-  let recovery_ok =
+  List.iter (fun rep -> Format.printf "%a@." Invariants.pp_report rep) improved;
+  print_string "diagram boxes:";
+  List.iter (fun (box, n) -> Printf.printf " %s %d" box n)
+    (Diagram.visit_counts r);
+  print_newline ();
+  let recovery =
     verify_plane "recovery plane (replication / demotion)" Recovery.explore
       Recovery.state_count Recovery.edge_count Recovery.reports
   in
-  let delivery_ok =
+  let delivery =
     verify_plane "delivery plane (store-and-forward / epoch window)"
       Delivery_model.explore Delivery_model.state_count
       Delivery_model.edge_count Delivery_model.reports
   in
-  let sentinel_ok =
+  let sentinel =
     verify_plane "sentinel plane (attribution / containment ladder)"
       Sentinel_model.explore Sentinel_model.state_count
       Sentinel_model.edge_count Sentinel_model.reports
   in
+  let reports = improved @ recovery @ delivery @ sentinel in
   let legacy_ok =
     if not legacy then true
     else begin
       print_endline "\n-- legacy protocol (§2.2): attack finding --";
-      let findings = Legacy_model.findings (Legacy_model.explore ()) in
+      let lr = Legacy_model.explore () in
+      Printf.printf "explored %d states\n" (Legacy_model.state_count lr);
+      let findings = Legacy_model.findings lr in
       List.iter
         (fun f ->
           Printf.printf "%-10s %-14s %s\n" f.Legacy_model.weakness
@@ -417,7 +390,12 @@ let run_verify joins admin nonces keys legacy jobs stream max_states =
       List.for_all Legacy_model.as_expected findings
     end
   in
-  if truncated then begin
+  let vacuous =
+    List.filter_map
+      (fun rep -> if rep.Invariants.checked = 0 then Some rep.name else None)
+      reports
+  in
+  if dropped > 0 then begin
     (* A capped search saw part of the graph: its HOLDS lines speak for
        the states it reached, not for the bounded model. *)
     print_endline
@@ -425,7 +403,13 @@ let run_verify joins admin nonces keys legacy jobs stream max_states =
        is not a verification";
     1
   end
-  else if improved_ok && recovery_ok && delivery_ok && sentinel_ok && legacy_ok
+  else if vacuous <> [] then begin
+    (* An obligation that examined no state or edge holds of nothing. *)
+    Printf.printf "\nVACUOUS: %s checked nothing at these bounds\n"
+      (String.concat ", " vacuous);
+    1
+  end
+  else if List.for_all (fun rep -> rep.Invariants.holds) reports && legacy_ok
   then begin
     print_endline "\nall §5 results verified";
     0
@@ -435,10 +419,15 @@ let run_verify joins admin nonces keys legacy jobs stream max_states =
     1
   end
 
-let joins_arg = Arg.(value & opt int 2 & info [ "joins" ] ~doc:"Max joins by A")
-let admin_arg = Arg.(value & opt int 2 & info [ "admin" ] ~doc:"Max admin msgs/session")
-let nonces_arg = Arg.(value & opt int 10 & info [ "nonces" ] ~doc:"Nonce pool size")
-let keys_arg = Arg.(value & opt int 2 & info [ "keys" ] ~doc:"Session-key pool size")
+let non_negative = checked Arg.int (fun n -> n >= 0) "a non-negative integer"
+
+let bound_arg name ~doc default =
+  Arg.(value & opt non_negative default & info [ name ] ~doc)
+
+let joins_arg = bound_arg "joins" ~doc:"Max joins by A" 2
+let admin_arg = bound_arg "admin" ~doc:"Max admin msgs/session" 2
+let nonces_arg = bound_arg "nonces" ~doc:"Nonce pool size" 10
+let keys_arg = bound_arg "keys" ~doc:"Session-key pool size" 2
 
 let legacy_arg =
   Arg.(
@@ -448,21 +437,14 @@ let legacy_arg =
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "jobs"; "j" ]
         ~doc:"Domains used to expand the frontier (results are identical \
               for any value)")
 
-let stream_arg =
-  Arg.(
-    value & flag
-    & info [ "stream" ]
-        ~doc:"Check invariants on the fly without retaining the state set \
-              (lower memory; no counterexample paths)")
-
 let max_states_arg =
   Arg.(
-    value & opt int 200_000
+    value & opt positive 200_000
     & info [ "max-states" ]
         ~doc:"State cap; runs that hit it are reported as truncated and exit 1")
 
@@ -472,7 +454,7 @@ let verify_cmd =
     (Cmd.info "verify" ~doc)
     Term.(
       const run_verify $ joins_arg $ admin_arg $ nonces_arg $ keys_arg
-      $ legacy_arg $ jobs_arg $ stream_arg $ max_states_arg)
+      $ legacy_arg $ jobs_arg $ max_states_arg)
 
 (* --- chaos --- *)
 

@@ -415,9 +415,8 @@ let all ?(seed = 21L) () =
       ])
     [ Legacy; Improved ]
 
+let as_expected o =
+  match o.protocol with Legacy -> o.succeeded | Improved -> not o.succeeded
+
 let matrix_ok outcomes =
-  List.for_all
-    (fun o ->
-      match o.protocol with Legacy -> o.succeeded | Improved -> not o.succeeded)
-    outcomes
-  && List.length outcomes = 8
+  List.for_all as_expected outcomes && List.length outcomes = 8

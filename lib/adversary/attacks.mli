@@ -46,6 +46,10 @@ val forced_disconnect : ?seed:int64 -> protocol -> outcome
 val all : ?seed:int64 -> unit -> outcome list
 (** Run every attack against both protocols: the full §2.3 matrix. *)
 
+val as_expected : outcome -> bool
+(** The outcome §2.3 predicts for one run: the attack succeeds against
+    [Legacy] and fails against [Improved]. *)
+
 val matrix_ok : outcome list -> bool
-(** The paper's expected shape: all four succeed against [Legacy],
-    none succeeds against [Improved]. *)
+(** The paper's expected shape: all eight runs {!as_expected}, so all
+    four succeed against [Legacy] and none against [Improved]. *)

@@ -10,7 +10,7 @@
     session-teardown boxes the paper does not print, the natural
     close-pending conditions.
 
-    {!all} and {!stream} run three checks, each discharging a §5.3
+    {!all} runs three checks, each discharging a §5.3
     proof obligation on the bounded instance:
     - coverage — every reachable state lies in some box and
       satisfies that box's invariant (the paper's "[q0] satisfies
@@ -61,7 +61,4 @@ val visit_counts : Explore.result -> (string * int) list
 (** States per box, for reporting. *)
 
 val all : ?config:Model.config -> Explore.result -> Invariants.report list
-
-val stream : ?config:Model.config -> unit -> Invariants.checker
-(** Streaming form of {!all}: coverage and intruder obligations are
-    per-state, edge conformance is per-edge. *)
+(** The three checks above, in this order. *)

@@ -1,6 +1,5 @@
 (* Exploration engine: level-synchronized BFS over any bounded model,
-   with dense state ids, deduplicated edges in flat columns, an
-   optional streaming mode that does not retain the state set, and
+   with dense state ids, deduplicated edges in flat columns, and
    optional multicore frontier expansion. [Make] is the engine; this
    module's own API is its instance over the §4 [Model].
 
@@ -65,13 +64,6 @@ module Make (M : MODEL) = struct
     parent : int array;
     truncated : bool;
     frontier_dropped : int;
-  }
-
-  type stream_stats = {
-    stream_states : int;
-    stream_edges : int;
-    stream_truncated : bool;
-    stream_dropped : int;
   }
 
   (* A source's successors with their canonical keys, the costly part
@@ -176,12 +168,10 @@ module Make (M : MODEL) = struct
       List.iter Domain.join t.domains
   end
 
-  (* The single BFS core behind [run] and [run_stream]. The intern
-     table (canon -> id) lives only here, so neither result holds it.
-     When [retain] is false the states, parents and edges are streamed
-     through the callbacks and dropped. Without a pool each source is
-     expanded when the sweep reaches it, so no level's successors are
-     ever held at once.
+  (* The BFS behind [run]. The intern table (canon -> id) lives only
+     here, so the result does not hold it. Without a pool each source
+     is expanded when the sweep reaches it, so no level's successors
+     are ever held at once.
 
      Truncation accounting: when the [max_states] cap is hit, the edge
      to the unstored destination is NOT recorded (the seed engine
@@ -190,20 +180,16 @@ module Make (M : MODEL) = struct
      [frontier_dropped], and [truncated] is derived from that count
      once at the end. Edges between two stored states are always
      recorded, including after the cap. *)
-  let bfs ~config ~max_states ~pool ~retain ~on_state ~on_edge =
+  let bfs ~config ~max_states ~pool =
     let index = Keys.create 4096 in
     let states = Vec.create () and parent = Vec.create () in
     let src = Vec.create () and moves = Vec.create () and dst = Vec.create () in
-    let edge_cnt = ref 0 in
     let dropped = ref 0 in
     let init = M.initial in
     Keys.add index (M.canon init) 0;
-    if retain then begin
-      Vec.push states init;
-      Vec.push parent (-1)
-    end;
-    on_state init;
-    let merge next (src_id, src_q) succs =
+    Vec.push states init;
+    Vec.push parent (-1);
+    let merge next src_id succs =
       (* A source is expanded exactly once, so per-source dedup of
          (move, dst) is global dedup — no O(E) edge-seen table. The
          successor lists are short (a handful of moves), so a linear
@@ -222,14 +208,11 @@ module Make (M : MODEL) = struct
                 else begin
                   let id = Keys.length index in
                   Keys.add index key' id;
-                  if retain then begin
-                    Vec.push states q';
-                    (* A new destination is never in [seen], so the
-                       edge recorded below, number [edge_cnt], is the
-                       one that discovers [q']. *)
-                    Vec.push parent !edge_cnt
-                  end;
-                  on_state q';
+                  Vec.push states q';
+                  (* A new destination is never in [seen], so the edge
+                     recorded below, number [src.len], is the one that
+                     discovers [q']. *)
+                  Vec.push parent src.Vec.len;
                   Vec.push next (id, q');
                   id
                 end
@@ -239,13 +222,9 @@ module Make (M : MODEL) = struct
             && not (List.exists (fun (d, m) -> d = dst_id && m = move) !seen)
           then begin
             seen := (dst_id, move) :: !seen;
-            incr edge_cnt;
-            if retain then begin
-              Vec.push src src_id;
-              Vec.push moves move;
-              Vec.push dst dst_id
-            end;
-            on_edge src_q move q'
+            Vec.push src src_id;
+            Vec.push moves move;
+            Vec.push dst dst_id
           end)
         succs
     in
@@ -255,25 +234,18 @@ module Make (M : MODEL) = struct
       (match pool with
       | Some pool ->
           let succs = Pool.run pool !frontier in
-          Array.iteri (fun i src -> merge next src succs.(i)) !frontier
+          Array.iteri (fun i (id, _) -> merge next id succs.(i)) !frontier
       | None ->
-          Array.iter
-            (fun ((_, q) as src) -> merge next src (expand config q))
-            !frontier);
+          Array.iter (fun (id, q) -> merge next id (expand config q)) !frontier);
       frontier := Vec.to_array next
     done;
     let dropped = !dropped in
-    ( { states = Vec.to_array states; src = Vec.to_array src;
-        moves = Vec.to_array moves; dst = Vec.to_array dst;
-        parent = Vec.to_array parent; truncated = dropped > 0;
-        frontier_dropped = dropped },
-      { stream_states = Keys.length index; stream_edges = !edge_cnt;
-        stream_truncated = dropped > 0; stream_dropped = dropped } )
+    { states = Vec.to_array states; src = Vec.to_array src;
+      moves = Vec.to_array moves; dst = Vec.to_array dst;
+      parent = Vec.to_array parent; truncated = dropped > 0;
+      frontier_dropped = dropped }
 
-  let no_state (_ : M.state) = ()
-  let no_edge (_ : M.state) (_ : M.move) (_ : M.state) = ()
-
-  (* One pool per exploration, torn down even if a callback raises. *)
+  (* One pool per exploration, torn down even if the search raises. *)
   let with_pool ~config ~jobs f =
     if jobs <= 1 then f None
     else begin
@@ -284,16 +256,7 @@ module Make (M : MODEL) = struct
 
   let run ?(config = M.default_config) ?(max_states = 200_000) ?(jobs = 1) ()
       =
-    fst
-      (with_pool ~config ~jobs (fun pool ->
-           bfs ~config ~max_states ~pool ~retain:true ~on_state:no_state
-             ~on_edge:no_edge))
-
-  let run_stream ?(config = M.default_config) ?(max_states = 200_000)
-      ?(jobs = 1) ?(on_state = no_state) ?(on_edge = no_edge) () =
-    snd
-      (with_pool ~config ~jobs (fun pool ->
-           bfs ~config ~max_states ~pool ~retain:false ~on_state ~on_edge))
+    with_pool ~config ~jobs (fun pool -> bfs ~config ~max_states ~pool)
 
   let state_count r = Array.length r.states
   let edge_count r = Array.length r.src

@@ -17,8 +17,8 @@
     indexed by id. The deduplicated edges are three flat columns
     ([src], [moves], [dst]) in discovery order, which groups them by
     source, and the BFS tree is one array of edge numbers. The
-    canon-to-id table is dropped when the search ends: a retained
-    result holds no canonical key.
+    canon-to-id table is dropped when the search ends: the result holds
+    no canonical key.
 
     {2 Parallelism and determinism}
 
@@ -85,31 +85,6 @@ module Make (M : MODEL) : sig
   (** [run ()] explores with [M.default_config] and a 200k-state
       safety limit. [~jobs] (default 1) parallelizes successor
       computation without changing any result. *)
-
-  type stream_stats = {
-    stream_states : int;  (** states stored (= what [run] would store) *)
-    stream_edges : int;  (** deduplicated edges visited *)
-    stream_truncated : bool;
-    stream_dropped : int;
-  }
-
-  val run_stream :
-    ?config:M.config ->
-    ?max_states:int ->
-    ?jobs:int ->
-    ?on_state:(M.state -> unit) ->
-    ?on_edge:(M.state -> M.move -> M.state -> unit) ->
-    unit ->
-    stream_stats
-  (** Memory-compact exploration: same search as [run], but states,
-      parents and edges are handed to the callbacks and dropped instead
-      of retained — only the canonical-key intern table is kept for
-      deduplication, as [run] keeps it while it searches. [on_state]
-      fires once per stored state (including the initial state),
-      [on_edge] once per deduplicated edge, in the same order
-      [iter_states] / [iter_edges] would visit them.
-      Counterexample reconstruction ([path_to]) needs a retained
-      [run]. *)
 
   val state_count : result -> int
   val edge_count : result -> int

@@ -14,11 +14,11 @@ type report = Explore.report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-(** A streaming check: feed it states and edges as the exploration
-    produces them (e.g. from {!Explore.run_stream}), then collect the
-    reports. Checkers are single-use — the callbacks accumulate into
-    internal state that [finish] reads out (calling [finish] more than
-    once is harmless). *)
+(** A check over an explored graph: {!check_result} feeds it every
+    state, then every edge, and collects the reports. Checkers are
+    single-use — the callbacks accumulate into internal state that
+    [finish] reads out (calling [finish] more than once is
+    harmless). *)
 type checker = {
   on_state : Model.state -> unit;
   on_edge : Model.state -> Model.move -> Model.state -> unit;
@@ -30,8 +30,8 @@ val combine : checker list -> checker
     reports in order. *)
 
 val check_result : Explore.result -> checker -> report list
-(** Drive a checker over a retained exploration: all states first,
-    then all edges, then [finish]. *)
+(** Drive a checker over an exploration: all states first, then all
+    edges, then [finish]. *)
 
 val one : Explore.result -> checker -> report
 (** [check_result] for a checker that makes exactly one report. *)
@@ -52,24 +52,8 @@ val make_report : string -> int -> failures -> report
 val per_state : (Model.state -> 'a) -> Model.state -> 'a
 (** [per_state f] computes [f] once per state for every checker that
     shares it: it remembers the last state it saw, which is enough
-    because a stream hands each state to all of its checkers in
-    turn. *)
-
-val stream : ?config:Model.config -> unit -> checker
-(** Streaming form of {!all}: the five §5.1/§5.2 secrecy checks. Two
-    are {!long_term_key_secrecy} and {!session_key_secrecy}; the other
-    three are checked only here and in {!all}:
-    - regularity (§5.1, the Regularity Lemma's premise): no honest
-      transition ever places [P_a] inside a message, checked per
-      honest edge on the contents the edge adds to the trace;
-    - the coideal invariant (§5.2, property (5)): whenever [K_a] is in
-      use, [trace(q) ⊆ C({K_a, P_a})] — every content on the wire
-      lies in the coideal, i.e. carries no path to the secrets. This
-      is the paper's actual inductive invariant, stronger than its
-      corollary {!session_key_secrecy};
-    - Oops keys are public: once a session closes, its key {e is} in
-      the intruder's knowledge — compromise of expired keys is really
-      being modelled, so {!session_key_secrecy} is not vacuous. *)
+    because a {!combine}d checker hands each state to all of its
+    checkers in turn. *)
 
 val long_term_key_secrecy : ?config:Model.config -> Explore.result -> report
 (** §5.1's conclusion: in every reachable state,
@@ -82,3 +66,17 @@ val session_key_secrecy : ?config:Model.config -> Explore.result -> report
     it, even though expired session keys are handed over via Oops. *)
 
 val all : ?config:Model.config -> Explore.result -> report list
+(** The five §5.1/§5.2 secrecy checks. Two are
+    {!long_term_key_secrecy} and {!session_key_secrecy}; the other
+    three are checked only here:
+    - regularity (§5.1, the Regularity Lemma's premise): no honest
+      transition ever places [P_a] inside a message, checked per
+      honest edge on the contents the edge adds to the trace;
+    - the coideal invariant (§5.2, property (5)): whenever [K_a] is in
+      use, [trace(q) ⊆ C({K_a, P_a})] — every content on the wire
+      lies in the coideal, i.e. carries no path to the secrets. This
+      is the paper's actual inductive invariant, stronger than its
+      corollary {!session_key_secrecy};
+    - Oops keys are public: once a session closes, its key {e is} in
+      the intruder's knowledge — compromise of expired keys is really
+      being modelled, so {!session_key_secrecy} is not vacuous. *)

@@ -24,7 +24,4 @@ val no_duplicates : Explore.result -> Invariants.report
     replay acceptance). *)
 
 val all : Explore.result -> Invariants.report list
-
-val stream : unit -> Invariants.checker
-(** Streaming form of {!all}, for {!Explore.run_stream}. All five
-    checks are per-state. *)
+(** The five checks above, in this order. All five are per-state. *)
