@@ -57,7 +57,7 @@ let check_result result c =
 let one result c =
   match check_result result c with [ r ] -> r | _ -> assert false
 
-(* The checkers of one stream see each state in turn, so remembering
+(* The checkers of one [combine] see each state in turn, so remembering
    the last state is enough to compute [f] once per state for all of
    them. States are immutable, so physical identity is a sound key. *)
 let per_state f =
