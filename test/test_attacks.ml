@@ -38,6 +38,31 @@ let test_full_matrix () =
   Alcotest.(check int) "eight runs" 8 (List.length outcomes);
   Alcotest.(check bool) "paper's matrix holds" true (Attacks.matrix_ok outcomes)
 
+let test_as_expected () =
+  (* The §2.3 rule for one run: the attack wins against Legacy and
+     loses against Improved. One run against it spoils the matrix. *)
+  List.iter
+    (fun (protocol, succeeded, expect) ->
+      let o = { Attacks.attack = "A1"; protocol; succeeded; detail = "" } in
+      Alcotest.(check bool)
+        (Format.asprintf "%a" Attacks.pp_outcome o)
+        expect (Attacks.as_expected o))
+    [
+      (Attacks.Legacy, true, true);
+      (Attacks.Legacy, false, false);
+      (Attacks.Improved, false, true);
+      (Attacks.Improved, true, false);
+    ];
+  let flipped =
+    List.mapi
+      (fun i o ->
+        if i = 0 then { o with Attacks.succeeded = not o.Attacks.succeeded }
+        else o)
+      (Attacks.all ())
+  in
+  Alcotest.(check bool) "one flipped run spoils the matrix" false
+    (Attacks.matrix_ok flipped)
+
 let test_matrix_stable_across_seeds () =
   List.iter
     (fun seed ->
@@ -147,6 +172,7 @@ let suite =
         Alcotest.test_case "A4 vs legacy" `Quick test_a4_legacy;
         Alcotest.test_case "A4 vs improved" `Quick test_a4_improved;
         Alcotest.test_case "full matrix" `Quick test_full_matrix;
+        Alcotest.test_case "as_expected per run" `Quick test_as_expected;
         Alcotest.test_case "matrix stable across seeds" `Slow
           test_matrix_stable_across_seeds;
       ] );
